@@ -8,9 +8,10 @@ against one shared world batch.
 
 This benchmark times hill climbing (k=5) and individual top-k over a
 1k-node graph with ~200 candidate edges at Z=1000, on both paths —
-``vectorized=False`` forces the per-candidate estimator loop (itself
-engine-backed, i.e. the strongest status quo) — and asserts the kernel
-is >= 10x faster on hill climbing (the PR gate).
+:class:`PerCandidateMC` hides the selection backend, which forces the
+per-candidate estimator loop (itself engine-backed, i.e. the strongest
+status quo) — and asserts the kernel is >= 10x faster on hill climbing
+(the PR gate).
 
 Parity fixtures: on graphs whose greedy choices are forced (a certain
 bridging edge, then all-zero gains -> documented lowest-index
@@ -43,7 +44,15 @@ from repro.graph import (  # noqa: E402
     erdos_renyi,
     fixed_new_edge_probability,
 )
-from repro.reliability import make_estimator  # noqa: E402
+from repro.reliability import MonteCarloEstimator  # noqa: E402
+
+
+class PerCandidateMC(MonteCarloEstimator):
+    """Plain MC without a selection backend: selection loops over it run
+    one engine estimate per candidate (the baseline path)."""
+
+    def selection_backend(self):
+        return None
 
 
 def build_graph(num_nodes: int, num_edges: int, seed: int = 0):
@@ -70,12 +79,10 @@ def missing_candidates(graph, count: int, seed: int = 7):
 
 
 def time_selection(method, graph, s, t, k, candidates, zeta, z, seed,
-                   vectorized):
-    estimator = make_estimator("mc", z, seed=seed)
+                   estimator_cls):
+    estimator = estimator_cls(z, seed=seed)
     start = time.perf_counter()
-    edges = method(
-        graph, s, t, k, candidates, zeta, estimator, vectorized=vectorized
-    )
+    edges = method(graph, s, t, k, candidates, zeta, estimator)
     return time.perf_counter() - start, edges
 
 
@@ -113,11 +120,11 @@ def check_parity(z: int, seed: int):
         prob_model = lambda u, v, probs=probs: probs[(u, v)]
         per_candidate = hill_climbing(
             graph, s, t, k, candidates, prob_model,
-            make_estimator("mc", z, seed=seed), vectorized=False,
+            PerCandidateMC(z, seed=seed),
         )
         batched = hill_climbing(
             graph, s, t, k, candidates, prob_model,
-            make_estimator("mc", z, seed=seed),
+            MonteCarloEstimator(z, seed=seed),
         )
         if per_candidate != batched:
             failures.append(
@@ -163,11 +170,11 @@ def run(smoke: bool, json_path: str | None) -> int:
     ):
         loop_s, loop_edges = time_selection(
             method, graph, s, t, budget, candidates, zeta, z, 17,
-            vectorized=False,
+            PerCandidateMC,
         )
         kernel_s, kernel_edges = time_selection(
             method, graph, s, t, budget, candidates, zeta, z, 17,
-            vectorized=None,
+            MonteCarloEstimator,
         )
         speedup = loop_s / kernel_s if kernel_s > 0 else float("inf")
         print(f"[{label}]")

@@ -2,13 +2,14 @@
 
 Each full benchmark run writes a one-off timing JSON (``--json``); this
 script folds those into the per-benchmark **perf-trajectory** files at
-the repo root — ``BENCH_engine.json``, ``BENCH_session.json``,
-``BENCH_selection.json``, ``BENCH_sweep.json``, ``BENCH_serve.json``,
-``BENCH_index.json`` — so speedups are
-trackable across PRs.  Every entry records the UTC date, the commit (if
-resolvable), a label, and the benchmark's headline metrics; the full
-per-run report stays an artifact, the trajectory keeps only what a
-regression plot needs.
+the repo root — ``BENCH_session.json``, ``BENCH_selection.json``,
+``BENCH_sweep.json``, ``BENCH_serve.json``, ``BENCH_index.json``,
+``BENCH_delta.json`` — so speedups are trackable across PRs.
+(``BENCH_engine.json`` is history: the engine-vs-scalar benchmark it
+tracked was retired with the scalar samplers.)  Every entry records the
+UTC date, the commit (if resolvable), a label, and the benchmark's
+headline metrics; the full per-run report stays an artifact, the
+trajectory keeps only what a regression plot needs.
 
 Nightly CI runs the full gates, appends a ``nightly`` entry per
 benchmark, and commits the updated trajectory files back to the repo.
@@ -16,8 +17,8 @@ benchmark, and commits the updated trajectory files back to the repo.
 Usage::
 
     python benchmarks/update_trajectory.py --label nightly \
-        engine=bench-engine.json session=bench-api-session.json \
-        selection=bench-selection.json sweep=bench-sweep.json
+        session=bench-api-session.json selection=bench-selection.json \
+        sweep=bench-sweep.json
 """
 
 from __future__ import annotations
@@ -45,15 +46,6 @@ def extractor(name):
         EXTRACTORS[name] = fn
         return fn
     return register
-
-
-@extractor("engine")
-def _engine(report: dict) -> dict:
-    return {
-        "speedup": report["speedup"],
-        "vectorized_seconds": report["vectorized_seconds"],
-        "scalar_seconds": report["scalar_seconds"],
-    }
 
 
 @extractor("session")

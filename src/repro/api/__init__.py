@@ -17,7 +17,7 @@ against one compiled plan and shared sampled worlds:
 All queries in the workload were answered inside the *same* 2000 sampled
 worlds: one CSR compilation, one coin-flip pass, one batch BFS per
 distinct source.  Results carry provenance — estimator, Z, seed,
-engine/scalar backend, shared-world flag, timings.
+shared-world flag, timings.
 
 The legacy entry points (:class:`repro.core.facade.ReliabilityMaximizer`
 and friends) remain as thin shims over this layer.

@@ -150,12 +150,7 @@ def execute_maximize(
             getattr(estimator, "max_samples", session.selection_samples),
         ),
         seed=seed,
-        backend=(
-            "engine" if getattr(estimator, "vectorized", False) else "scalar"
-        ),
-        timings=Timings(
-            solve_seconds=time.perf_counter() - start,
-        ),
+        timings=Timings(solve_seconds=time.perf_counter() - start),
     )
     return MaximizeResult(query=query, solution=solution, provenance=provenance)
 

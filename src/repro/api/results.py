@@ -2,10 +2,10 @@
 
 Every query answered by a :class:`~repro.api.session.Session` comes back
 as a result object carrying not just the value but *how* it was
-computed: estimator, sample count, seed, engine-vs-scalar backend,
-whether the worlds were shared from the session cache, and the
-compile/sample/solve timings.  The CLI and the experiments harness
-render these directly instead of re-deriving the context.
+computed: estimator, sample count, seed, whether the worlds were shared
+from the session cache, and the compile/sample/solve timings.  The CLI
+and the experiments harness render these directly instead of
+re-deriving the context.
 """
 
 from __future__ import annotations
@@ -51,8 +51,6 @@ class Provenance:
         Sample budget ``Z`` (the cap for adaptive estimators).
     seed : int
         The seed actually used (query override or session default).
-    backend : str
-        ``"engine"`` (vectorized batch kernel) or ``"scalar"``.
     shared_worlds : bool
         Whether the answer came out of a world batch shared with other
         queries (session cache hit, or a multi-member workload group —
@@ -63,9 +61,9 @@ class Provenance:
         Which tier produced the world batch: ``"memory"`` (session
         cache), ``"store"`` (memory-mapped from a persistent
         :class:`repro.index.IndexStore`), ``"sampled"`` (fresh coin
-        flips), or ``None`` when no batch was needed — scalar paths,
-        and shared-world queries answered entirely from the persistent
-        result cache.
+        flips), or ``None`` when no batch was needed — per-query
+        estimators, and shared-world queries answered entirely from the
+        persistent result cache.
     cache_hits, cache_misses : int or None
         Exact-match result-cache accounting for this query's pairs
         (``None`` when the session has no store attached).  A fully
@@ -75,18 +73,16 @@ class Provenance:
     Examples
     --------
     >>> Provenance(estimator="mc", samples=1000, seed=7,
-    ...            backend="engine", shared_worlds=True).describe()
-    'mc, Z=1000, seed=7, engine, shared worlds, 0.0 ms'
-    >>> Provenance(estimator="mc", samples=1000, seed=7,
-    ...            backend="engine", shared_worlds=True,
+    ...            shared_worlds=True).describe()
+    'mc, Z=1000, seed=7, shared worlds, 0.0 ms'
+    >>> Provenance(estimator="mc", samples=1000, seed=7, shared_worlds=True,
     ...            cache_hits=2, cache_misses=0).describe()
-    'mc, Z=1000, seed=7, engine, shared worlds, cache 2/2, 0.0 ms'
+    'mc, Z=1000, seed=7, shared worlds, cache 2/2, 0.0 ms'
     """
 
     estimator: str
     samples: int
     seed: int
-    backend: str  # "engine" (vectorized) or "scalar"
     shared_worlds: bool = False
     timings: Timings = field(default_factory=Timings)
     world_source: "str | None" = None
@@ -101,9 +97,8 @@ class Provenance:
             total = self.cache_hits + self.cache_misses
             cache = f", cache {self.cache_hits}/{total}"
         return (
-            f"{self.estimator}, Z={self.samples}, seed={self.seed}, "
-            f"{self.backend}{shared}{cache}, "
-            f"{self.timings.total_seconds * 1000:.1f} ms"
+            f"{self.estimator}, Z={self.samples}, seed={self.seed}"
+            f"{shared}{cache}, {self.timings.total_seconds * 1000:.1f} ms"
         )
 
 
@@ -197,13 +192,13 @@ def results_table(
 
     table = ResultTable(
         title,
-        ["s", "t", "R(s,t)", "estimator", "Z", "backend", "shared"],
+        ["s", "t", "R(s,t)", "estimator", "Z", "shared"],
     )
     for result in results:
         prov = result.provenance
         for (s, t), value in result.pairs:
             table.add_row(
                 s, t, value, prov.estimator, prov.samples,
-                prov.backend, "yes" if prov.shared_worlds else "no",
+                "yes" if prov.shared_worlds else "no",
             )
     return table

@@ -10,13 +10,9 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, List, Optional, Set, Tuple
 
+from ..engine.selection import SelectionGainKernel
 from ..graph import UncertainGraph
 from ..reliability.estimator import resolve_selection_backend
-
-try:
-    from ..engine.selection import SelectionGainKernel
-except ImportError:  # pragma: no cover - numpy-less fallback
-    SelectionGainKernel = None  # type: ignore[assignment,misc]
 
 Edge = Tuple[int, int]
 ProbEdge = Tuple[int, int, float]
@@ -26,41 +22,25 @@ NewEdgeProbability = Callable[[int, int], float]
 def selection_kernel_for(
     graph: UncertainGraph,
     estimator,
-    vectorized: Optional[bool] = None,
-    kernel: Optional["SelectionGainKernel"] = None,
-):
+    kernel: Optional[SelectionGainKernel] = None,
+) -> Optional[SelectionGainKernel]:
     """Resolve the batched gain kernel a selection loop should use.
 
-    ``vectorized=None`` auto-selects: the kernel is used when the
-    estimator advertises a shared-world backend
-    (:meth:`~repro.reliability.estimator.ReliabilityEstimator.selection_backend`)
-    and numpy is importable.  ``False`` forces the per-candidate
-    estimator loop (benchmark baseline / exact parity with the legacy
-    path); ``True`` demands the kernel and raises when the estimator
-    cannot provide one (vectorized ``mc``/``lazy``/``rss``/``adaptive``
-    all can; scalar estimators cannot).  A pre-built ``kernel`` (e.g.
-    from :meth:`repro.api.Session.selection_kernel`, carrying the
-    session's cached plan and world batch) is used as-is.  Backends
-    carrying a ``make_batch`` factory (per-stratum ``rss``, per-block
-    ``adaptive``) get a kernel that builds its base batch per query
-    through that factory.
+    A pre-built ``kernel`` (e.g. from
+    :meth:`repro.api.Session.selection_kernel`, carrying the session's
+    cached plan and world batch) is used as-is.  Otherwise the kernel is
+    built from the estimator's shared-world backend
+    (:meth:`~repro.reliability.estimator.ReliabilityEstimator.selection_backend`);
+    backends carrying a ``make_batch`` factory (per-stratum ``rss``,
+    per-block ``adaptive``) get a kernel that builds its base batch per
+    query through that factory.  ``None`` — the estimator has no backend
+    (exact or third-party estimators) — sends the caller to the
+    per-candidate loop.
     """
-    if vectorized is False:
-        return None
     if kernel is not None:
         return kernel
     backend = resolve_selection_backend(estimator)
     if backend is None:
-        if vectorized:
-            raise ValueError(
-                f"{type(estimator).__name__} has no shared-world selection "
-                "backend; pass a vectorized registry estimator or "
-                "vectorized=None to fall back to the per-candidate loop"
-            )
-        return None
-    if SelectionGainKernel is None:  # pragma: no cover - numpy-less
-        if vectorized:
-            raise RuntimeError("vectorized selection requires numpy")
         return None
     num_samples, seed = backend
     return SelectionGainKernel(

@@ -6,8 +6,8 @@ between the selected edges, which the paper shows costs solution quality
 (two edges completing the same path are each worthless alone).
 
 On the per-candidate path this costs one reliability estimate per
-candidate — ``O(|candidates| * Z * (n + m))``.  Every vectorized
-registry estimator instead scores the whole candidate set against one
+candidate — ``O(|candidates| * Z * (n + m))``.  Every registry
+estimator instead scores the whole candidate set against one
 world batch through the selection-gain kernel
 (:mod:`repro.engine.selection`) — two batch-BFS sweeps, then one coin
 row + popcount per candidate, with the base batch following the
@@ -18,7 +18,7 @@ stable under ties (equal gains keep candidate order).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from ..graph import UncertainGraph
 from ..reliability import ReliabilityEstimator
@@ -33,20 +33,19 @@ def individual_top_k(
     candidates: Sequence[Edge],
     new_edge_prob: NewEdgeProbability,
     estimator: ReliabilityEstimator,
-    vectorized: Optional[bool] = None,
     kernel=None,
 ) -> List[ProbEdge]:
     """Top-k candidate edges by *individual* reliability gain.
 
-    ``vectorized`` / ``kernel`` select the batched gain kernel exactly
-    as in :func:`~repro.baselines.hill_climbing.hill_climbing`.
+    ``kernel`` selects the batched gain kernel exactly as in
+    :func:`~repro.baselines.hill_climbing.hill_climbing`.
     """
     if k < 1:
         raise ValueError("k must be positive")
     scored_edges: List[ProbEdge] = [
         (u, v, new_edge_prob(u, v)) for u, v in candidates
     ]
-    gain_kernel = selection_kernel_for(graph, estimator, vectorized, kernel)
+    gain_kernel = selection_kernel_for(graph, estimator, kernel)
     if gain_kernel is not None:
         return gain_kernel.top_k(source, target, k, scored_edges)
     base = estimator.reliability(graph, source, target)

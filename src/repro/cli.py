@@ -141,8 +141,7 @@ def cmd_maximize(args: argparse.Namespace) -> int:
           f"{solution.new_reliability:.4f}  (gain {solution.gain:+.4f})")
     print(f"time:        elimination {solution.elimination_seconds:.2f}s, "
           f"selection {solution.selection_seconds:.2f}s")
-    print(f"sampler:     {result.provenance.estimator} "
-          f"[{result.provenance.backend}]")
+    print(f"sampler:     {result.provenance.estimator}")
     for u, v, p in solution.edges:
         print(f"  + edge {u} -> {v}  (p={p:.3f})")
     if not solution.edges:
@@ -422,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_rel.add_argument(
         "--verbose", action="store_true",
-        help="also print result provenance (backend, timings)",
+        help="also print result provenance (shared worlds, timings)",
     )
     p_rel.set_defaults(func=cmd_reliability)
 

@@ -8,14 +8,11 @@ possible worlds, and reduces reached-bitmasks into the estimates the
 promises.
 
 Statistical contract: every method is an unbiased possible-world Monte
-Carlo estimate with one coin per canonical edge per world, identical in
-distribution to the legacy per-sample scalar BFS.  The *stream* differs
-(each batch draws a uint64 base from the engine's PCG64 generator and
-expands it through identity-keyed SplitMix64 counters — see
-:func:`repro.engine.kernel.sample_worlds` — instead of the scalar
-path's lazy ``random.Random`` coins), so estimates with the same seed
-are deterministic per implementation but not bit-for-bit equal to the
-scalar path.
+Carlo estimate with one coin per canonical edge per world.  Each batch
+draws a uint64 base from the engine's PCG64 generator and expands it
+through identity-keyed SplitMix64 counters (see
+:func:`repro.engine.kernel.sample_worlds`), so estimates with the same
+seed are bit-for-bit deterministic.
 """
 
 from __future__ import annotations
@@ -85,7 +82,7 @@ def pair_hit_fractions(
     batch row stays within ``fuse_max_words`` words (``None`` -> the
     measured :data:`DEFAULT_FUSE_MAX_WORDS`, ``0`` -> never fuse).
     ``s == t`` pairs are 1.0 and endpoints unknown to the plan are 0.0
-    (matching the scalar estimators' semantics).
+    (matching the single-pair estimators' semantics).
 
     ``reach_cache`` maps dense source indices to full ``(n, W)``
     reached-fixpoint matrices over exactly this ``(plan, batch)``:
@@ -192,10 +189,10 @@ class VectorizedSamplingEngine:
     Parameters
     ----------
     seed:
-        Seed for the engine's PCG64 generator.  Like the scalar
-        estimators, the generator is stateful: repeated calls advance
-        the stream, and two engines built with the same seed replay the
-        same estimates for the same query sequence.
+        Seed for the engine's PCG64 generator.  The generator is
+        stateful: repeated calls advance the stream, and two engines
+        built with the same seed replay the same estimates for the same
+        query sequence.
     fuse_max_words:
         Multi-source fusion threshold for pair workloads — fuse while
         the batch row is at most this many words (``None`` -> the
@@ -256,14 +253,18 @@ class VectorizedSamplingEngine:
         num_samples: int,
         extra_edges: Optional[Sequence[ProbEdge]] = None,
     ) -> float:
-        """Fraction of sampled worlds in which ``target`` is reachable."""
+        """Fraction of sampled worlds in which ``target`` is reachable.
+
+        Overlay endpoints count as nodes: an endpoint named only by
+        ``extra_edges`` is reachable through them.
+        """
         if source == target:
             return 1.0
-        if source not in graph or target not in graph:
-            return 0.0
         plan = build_query_plan(graph, extra_edges)
         src = plan.node_index(source)
         dst = plan.node_index(target)
+        if src is None or dst is None:
+            return 0.0
         batch = self.sample_worlds(plan, num_samples)
         reached = batch_reach(plan, batch, [src], target_index=dst)
         return hit_fraction(reached[dst], num_samples)
@@ -328,8 +329,7 @@ class VectorizedSamplingEngine:
         """Per-node frequency of being reached from *any* source.
 
         All sources are seeded into one reached-bitmask, so each world
-        is shared across sources by construction (the scalar path needed
-        an explicit coin cache for the same guarantee).
+        is shared across sources by construction.
         """
         valid_sources = [s for s in sources if s in graph]
         if not valid_sources:

@@ -85,8 +85,8 @@ def compare_methods_single_st(
     (Algorithm 4) is computed once per query and shared across methods,
     exactly as in the paper's Tables 5/9/10.  Each method still gets a
     fresh sampler from the protocol's factory so runs stay paired.
-    Selection is session-backed: every vectorized registry sampler
-    advertises a ``selection_backend()`` (see the support matrix in
+    Selection is session-backed: every registry sampler advertises a
+    ``selection_backend()`` (see the support matrix in
     :mod:`repro.reliability.registry`), so ``hc`` and ``topk`` run on
     the session's batched gain kernel — against its cached ``(Z,
     seed)`` world batch for the plain-batch samplers (``mc``/``lazy``)
@@ -266,11 +266,11 @@ def _multi_hill_climbing(
     """Hill climbing generalized to the aggregate objective.
 
     With any estimator advertising a ``selection_backend()`` (every
-    vectorized registry sampler — see
-    :mod:`repro.reliability.registry`), rounds run on the batched gain
-    kernel: one sweep per distinct source/target plus bitwise ops per
-    candidate, instead of ``|C|`` full multi-pair re-estimates.
-    Scalar samplers (``vectorized=False``) keep the per-candidate loop.
+    registry sampler — see :mod:`repro.reliability.registry`), rounds
+    run on the batched gain kernel: one sweep per distinct source/target
+    plus bitwise ops per candidate, instead of ``|C|`` full multi-pair
+    re-estimates.  Estimators without a backend (exact or third-party
+    ones) keep the per-candidate loop.
     """
     if aggregate not in (
         "avg", "average", "min", "minimum", "max", "maximum"

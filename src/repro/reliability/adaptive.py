@@ -12,33 +12,21 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
-from ..graph import UncertainGraph
-from .estimator import (
-    Overlay,
-    ReliabilityEstimator,
-    SelectionBackend,
-    build_overlay,
+import numpy as np
+
+from ..engine import (
+    VectorizedSamplingEngine,
+    batch_reach,
+    build_query_plan,
+    concat_batches,
+    popcount,
+    sample_worlds,
 )
+from ..graph import UncertainGraph
+from .estimator import Overlay, ReliabilityEstimator, SelectionBackend
 from .monte_carlo import MonteCarloEstimator
-
-try:
-    import numpy as np
-
-    from ..engine import (
-        VectorizedSamplingEngine,
-        batch_reach,
-        build_query_plan,
-        concat_batches,
-        popcount,
-        sample_worlds,
-    )
-except ImportError:  # pragma: no cover - numpy-less fallback
-    np = None  # type: ignore[assignment]
-    VectorizedSamplingEngine = None  # type: ignore[assignment,misc]
-    batch_reach = build_query_plan = popcount = None  # type: ignore[assignment]
-    concat_batches = sample_worlds = None  # type: ignore[assignment]
 
 #: z-scores for common confidence levels.
 _Z_SCORES = {0.90: 1.6449, 0.95: 1.9600, 0.99: 2.5758}
@@ -100,14 +88,15 @@ class AdaptiveMonteCarlo(ReliabilityEstimator):
         Samples drawn between convergence checks.
     max_samples:
         Hard budget cap (the estimator always stops here).
-    vectorized:
-        ``True`` runs each sample block on the batch engine (block
-        sampling maps directly onto ``sample_worlds`` with incremental
-        Z), ``False`` forces the scalar per-sample BFS, ``None``
-        auto-selects the engine when numpy is importable.  Because Z is
-        chosen at query time, the engine path samples fresh per-block
-        worlds and cannot reuse a pre-sampled shared batch (see
-        :mod:`repro.reliability.registry`).
+    seed:
+        Seed of the engine generator that samples each block.
+
+    Notes
+    -----
+    Each sample block is a fresh engine batch (block sampling maps
+    directly onto ``sample_worlds`` with incremental Z).  Because Z is
+    chosen at query time, the estimator cannot reuse a pre-sampled
+    shared batch (see :mod:`repro.reliability.registry`).
     """
 
     name = "adaptive-mc"
@@ -119,44 +108,34 @@ class AdaptiveMonteCarlo(ReliabilityEstimator):
         block_size: int = 200,
         max_samples: int = 50_000,
         seed: int = 0,
-        vectorized: Optional[bool] = None,
     ) -> None:
         if not 0.0 < target_half_width < 0.5:
             raise ValueError("target_half_width must be in (0, 0.5)")
         if block_size < 1 or max_samples < block_size:
             raise ValueError("need max_samples >= block_size >= 1")
         wilson_interval(0, 1, confidence)  # validates the level
-        if vectorized is None:
-            vectorized = VectorizedSamplingEngine is not None
-        elif vectorized and VectorizedSamplingEngine is None:
-            raise RuntimeError("vectorized=True requires numpy")
         self.target_half_width = target_half_width
         self.confidence = confidence
         self.block_size = block_size
         self.max_samples = max_samples
-        self.vectorized = vectorized
+        # Seeds the fixed-budget fallback of vector queries.
         self._rng = random.Random(seed)
-        self._engine = (
-            VectorizedSamplingEngine(seed) if vectorized else None
-        )
+        self._engine = VectorizedSamplingEngine(seed)
 
     # ------------------------------------------------------------------
     # batched selection backend (per-block shared worlds)
     # ------------------------------------------------------------------
     def selection_backend(self):
-        """Per-block shared-world backend on the engine path.
+        """Per-block shared-world backend.
 
         Selection loops score every candidate against one shared batch
         built by :meth:`selection_batch` — grown block by block, like
-        the estimator's own engine path, until the Wilson interval
+        the estimator's own estimate, until the Wilson interval
         around the *base* query's hit rate is tight (or the budget cap
         is hit).  So ``Z`` is still chosen adaptively per query, but
         all candidates of that query share one fixed batch, which is
         what the gain kernel needs for comparable popcount gains.
-        ``None`` on the scalar path.
         """
-        if self._engine is None:
-            return None
         return SelectionBackend(
             self.max_samples, self._engine.seed,
             make_batch=self.selection_batch,
@@ -200,46 +179,20 @@ class AdaptiveMonteCarlo(ReliabilityEstimator):
         target: int,
         extra_edges: Overlay = None,
     ) -> AdaptiveEstimate:
-        """Full result: value, interval and the samples it took."""
+        """Full result: value, interval and the samples it took.
+
+        One compiled plan, a fresh world block per round.  Overlay
+        endpoints count as nodes.
+        """
         if source == target:
             return AdaptiveEstimate(1.0, 1.0, 1.0, 0)
-        if source not in graph or target not in graph:
-            return AdaptiveEstimate(0.0, 0.0, 0.0, 0)
-        if self._engine is not None:
-            return self._estimate_vectorized(graph, source, target, extra_edges)
-        overlay = build_overlay(graph, extra_edges)
-        rand = self._rng.random
-        succ = graph.successors
-        hits, samples = 0, 0
-        while samples < self.max_samples:
-            for _ in range(min(self.block_size, self.max_samples - samples)):
-                if MonteCarloEstimator._sampled_bfs_hits_target(
-                    succ, overlay, source, target, rand
-                ):
-                    hits += 1
-                samples += 1
-            lower, upper = wilson_interval(hits, samples, self.confidence)
-            if (upper - lower) / 2.0 <= self.target_half_width:
-                break
-        lower, upper = wilson_interval(hits, samples, self.confidence)
-        return AdaptiveEstimate(
-            value=hits / samples, lower=lower, upper=upper,
-            samples_used=samples,
-        )
-
-    def _estimate_vectorized(
-        self,
-        graph: UncertainGraph,
-        source: int,
-        target: int,
-        extra_edges: Overlay = None,
-    ) -> AdaptiveEstimate:
-        """Engine path: one compiled plan, fresh world block per round."""
         plan = build_query_plan(
             graph, list(extra_edges) if extra_edges else None
         )
         src = plan.node_index(source)
         dst = plan.node_index(target)
+        if src is None or dst is None:
+            return AdaptiveEstimate(0.0, 0.0, 0.0, 0)
         hits, samples = 0, 0
         while samples < self.max_samples:
             block = min(self.block_size, self.max_samples - samples)
@@ -275,7 +228,6 @@ class AdaptiveMonteCarlo(ReliabilityEstimator):
         """Vector queries fall back to fixed-budget MC at the cap/10."""
         budget = max(self.block_size, self.max_samples // 10)
         fallback = MonteCarloEstimator(
-            budget, seed=self._rng.randrange(2**31),
-            vectorized=self.vectorized,
+            budget, seed=self._rng.randrange(2**31)
         )
         return fallback.reachability_from(graph, source, extra_edges)

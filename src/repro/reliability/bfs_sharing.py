@@ -7,10 +7,8 @@ traversing the stored worlds.  Amortized over a query workload (e.g. the
 multi-source-target loops, which re-evaluate hundreds of pairs on the
 same graph) this is far cheaper than re-sampling per query.
 
-With the vectorized engine (default) the ``Z`` worlds are stored as one
-bit-packed ``(num_edges, Z/64)`` matrix and every query is a batch BFS
-over all worlds at once; without numpy the index falls back to one
-adjacency dict per world.
+The ``Z`` worlds are stored as one bit-packed ``(num_edges, Z/64)``
+matrix and every query is a batch BFS over all worlds at once.
 
 Overlay (``extra_edges``) support: stored worlds cover only the indexed
 graph; overlay edges are Bernoulli-sampled per (query, world) with a
@@ -20,29 +18,23 @@ repeated queries see identical overlay states.
 
 from __future__ import annotations
 
-import random
-from collections import deque
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Sequence, Tuple
 
+import numpy as np
+
+from ..engine import (
+    WorldBatch,
+    batch_reach,
+    compile_plan,
+    extend_with_overlay,
+    hit_fraction,
+    pack_bool_matrix,
+    pair_hit_fractions,
+    reach_counts_dict,
+    sample_worlds,
+)
 from ..graph import UncertainGraph
-from .estimator import Overlay, ReliabilityEstimator, build_overlay
-
-try:
-    import numpy as np
-
-    from ..engine import (
-        WorldBatch,
-        batch_reach,
-        compile_plan,
-        extend_with_overlay,
-        hit_fraction,
-        pack_bool_matrix,
-        pair_hit_fractions,
-        reach_counts_dict,
-        sample_worlds,
-    )
-except ImportError:  # pragma: no cover - numpy-less fallback
-    np = None  # type: ignore[assignment]
+from .estimator import Overlay, ReliabilityEstimator
 
 #: Mixing constant separating overlay-coin seeds from world-coin seeds.
 _OVERLAY_SALT = 0x9E3779B9
@@ -60,10 +52,6 @@ class BFSSharingIndex(ReliabilityEstimator):
         Number of stored possible worlds ``Z``.
     seed:
         Sampling seed; also derives per-query overlay coin seeds.
-    vectorized:
-        ``True`` stores worlds bit-packed and answers with the batch
-        kernel, ``False`` keeps the per-world adjacency dicts, ``None``
-        auto-selects the engine when numpy is importable.
     """
 
     name = "bfs-sharing"
@@ -73,43 +61,18 @@ class BFSSharingIndex(ReliabilityEstimator):
         graph: UncertainGraph,
         num_samples: int = 500,
         seed: int = 0,
-        vectorized: Optional[bool] = None,
     ) -> None:
         if num_samples < 1:
             raise ValueError("num_samples must be positive")
-        if vectorized is None:
-            vectorized = np is not None
-        elif vectorized and np is None:
-            raise RuntimeError("vectorized=True requires numpy")
         self.graph = graph
         self.num_samples = num_samples
         self.seed = seed
-        self.vectorized = vectorized
-        self._worlds: List[Dict[int, List[int]]] = []
-        self._plan = None
-        self._batch: Optional["WorldBatch"] = None
-        self._build()
-
-    def _build(self) -> None:
-        if self.vectorized:
-            # Snapshot: the compiled plan and sampled bits are immutable,
-            # so later graph mutations can't leak into the index.
-            self._plan = compile_plan(self.graph)
-            rng = np.random.default_rng(self.seed)
-            self._batch = sample_worlds(self._plan, self.num_samples, rng)
-            return
-        rng = random.Random(self.seed)
-        rand = rng.random
-        edges = list(self.graph.edges())
-        directed = self.graph.directed
-        for _ in range(self.num_samples):
-            adjacency: Dict[int, List[int]] = {}
-            for u, v, p in edges:
-                if p >= 1.0 or rand() < p:
-                    adjacency.setdefault(u, []).append(v)
-                    if not directed:
-                        adjacency.setdefault(v, []).append(u)
-            self._worlds.append(adjacency)
+        # Snapshot: the compiled plan and sampled bits are immutable, so
+        # later graph mutations can't leak into the index.
+        self._plan = compile_plan(graph)
+        self._batch = sample_worlds(
+            self._plan, num_samples, np.random.default_rng(seed)
+        )
 
     # ------------------------------------------------------------------
     def reliability(
@@ -129,22 +92,15 @@ class BFSSharingIndex(ReliabilityEstimator):
             return 1.0
         if source not in graph:
             return 0.0
-        if self.vectorized:
-            plan, batch = self._query_batch(extra_edges)
-            src = plan.node_index(source)
-            dst = plan.node_index(target)
-            if src is None or dst is None:
-                # Node added to the graph after the snapshot was built:
-                # it is isolated in every stored world.
-                return 0.0
-            reached = batch_reach(plan, batch, [src], target_index=dst)
-            return hit_fraction(reached[dst], self.num_samples)
-        overlay = build_overlay(graph, extra_edges)
-        hits = 0
-        for index, world in enumerate(self._worlds):
-            if self._reaches(world, overlay, source, target, index):
-                hits += 1
-        return hits / self.num_samples
+        plan, batch = self._query_batch(extra_edges)
+        src = plan.node_index(source)
+        dst = plan.node_index(target)
+        if src is None or dst is None:
+            # Node added to the graph after the snapshot was built: it is
+            # isolated in every stored world.
+            return 0.0
+        reached = batch_reach(plan, batch, [src], target_index=dst)
+        return hit_fraction(reached[dst], self.num_samples)
 
     def reachability_from(
         self,
@@ -155,23 +111,12 @@ class BFSSharingIndex(ReliabilityEstimator):
         self._check(graph)
         if source not in graph:
             return {}
-        if self.vectorized:
-            plan, batch = self._query_batch(extra_edges)
-            src = plan.node_index(source)
-            if src is None:
-                return {source: 1.0}
-            reached = batch_reach(plan, batch, [src])
-            return reach_counts_dict(
-                plan, reached, self.num_samples, [source]
-            )
-        overlay = build_overlay(graph, extra_edges)
-        counts: Dict[int, int] = {}
-        for index, world in enumerate(self._worlds):
-            for node in self._reach_set(world, overlay, source, index):
-                counts[node] = counts.get(node, 0) + 1
-        result = {node: c / self.num_samples for node, c in counts.items()}
-        result[source] = 1.0
-        return result
+        plan, batch = self._query_batch(extra_edges)
+        src = plan.node_index(source)
+        if src is None:
+            return {source: 1.0}
+        reached = batch_reach(plan, batch, [src])
+        return reach_counts_dict(plan, reached, self.num_samples, [source])
 
     def pair_reliabilities(
         self,
@@ -181,27 +126,21 @@ class BFSSharingIndex(ReliabilityEstimator):
     ) -> Dict[Tuple[int, int], float]:
         """Worlds are shared across all pairs — the index's sweet spot."""
         self._check(graph)
-        if self.vectorized:
-            if not pairs:
-                return {}
-            plan, batch = self._query_batch(extra_edges)
-            return pair_hit_fractions(plan, batch, pairs, self.num_samples)
-        overlay = build_overlay(graph, extra_edges)
-        counts = {pair: 0 for pair in pairs}
-        by_source: Dict[int, List[Tuple[int, int]]] = {}
-        for s, t in pairs:
-            by_source.setdefault(s, []).append((s, t))
-        for index, world in enumerate(self._worlds):
-            for s, spairs in by_source.items():
-                reach = self._reach_set(world, overlay, s, index)
-                for pair in spairs:
-                    if pair[1] in reach or pair[1] == s:
-                        counts[pair] += 1
-        return {pair: c / self.num_samples for pair, c in counts.items()}
+        if not pairs:
+            return {}
+        plan, batch = self._query_batch(extra_edges)
+        return pair_hit_fractions(plan, batch, pairs, self.num_samples)
 
     # ------------------------------------------------------------------
-    # vectorized internals
+    # internals
     # ------------------------------------------------------------------
+    def _check(self, graph: UncertainGraph) -> None:
+        if graph is not self.graph:
+            raise ValueError(
+                "BFSSharingIndex answers queries only for the graph it "
+                "indexed; rebuild the index for a different graph"
+            )
+
     def _query_batch(self, extra_edges: Overlay):
         """Stored worlds, extended with deterministic overlay coins."""
         extra = list(extra_edges) if extra_edges else None
@@ -236,48 +175,3 @@ class BFSSharingIndex(ReliabilityEstimator):
         return pack_bool_matrix(
             (coins < p)[None, :], self.num_samples
         )[0]
-
-    # ------------------------------------------------------------------
-    # scalar internals (fallback path)
-    # ------------------------------------------------------------------
-    def _check(self, graph: UncertainGraph) -> None:
-        if graph is not self.graph:
-            raise ValueError(
-                "BFSSharingIndex answers queries only for the graph it "
-                "indexed; rebuild the index for a different graph"
-            )
-
-    def _overlay_coin(self, world_index: int, u: int, v: int, p: float) -> bool:
-        """Deterministic Bernoulli(p) per (world, overlay edge)."""
-        if p >= 1.0:
-            return True
-        key = (u, v) if u <= v else (v, u)
-        seed = hash((self.seed, world_index, key)) & 0x7FFFFFFF
-        return random.Random(seed).random() < p
-
-    def _reaches(self, world, overlay, source, target, world_index) -> bool:
-        return target in self._reach_set(world, overlay, source, world_index)
-
-    def _reach_set(
-        self,
-        world: Dict[int, List[int]],
-        overlay: Dict[int, List[Tuple[int, float]]],
-        source: int,
-        world_index: int,
-    ) -> Set[int]:
-        visited = {source}
-        frontier = deque([source])
-        while frontier:
-            u = frontier.popleft()
-            for v in world.get(u, ()):
-                if v not in visited:
-                    visited.add(v)
-                    frontier.append(v)
-            if overlay and u in overlay:
-                for v, p in overlay[u]:
-                    if v in visited:
-                        continue
-                    if self._overlay_coin(world_index, u, v, p):
-                        visited.add(v)
-                        frontier.append(v)
-        return visited

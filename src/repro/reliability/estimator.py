@@ -7,8 +7,9 @@ implements this abstract interface; selection algorithms receive an
 estimator instance and never sample on their own.
 
 All evaluation methods accept an ``extra_edges`` overlay — an iterable of
-``(u, v, p)`` triples treated as if they were added to the graph — so
-that candidate-edge evaluation never needs to copy the graph.
+``(u, v, p)`` triples treated as if they were added to the graph, so an
+endpoint that only the overlay names is a node too — so that
+candidate-edge evaluation never needs to copy the graph.
 """
 
 from __future__ import annotations
@@ -159,7 +160,7 @@ class ReliabilityEstimator(ABC):
         """Reliability of many s-t pairs, aligned with ``pairs`` order.
 
         The batched entry point selection and multi-source loops should
-        prefer: vectorized estimators answer every pair against one
+        prefer: shared-world estimators answer every pair against one
         compiled plan and one shared world batch, amortizing the setup
         cost over thousands of queries.  The default implementation
         delegates to :meth:`pair_reliabilities`.
@@ -182,8 +183,8 @@ class ReliabilityEstimator(ABC):
         stratified sampling, per-block for adaptive MC.  The gain
         identity is exact per world regardless of how the worlds were
         sampled, so every backend gets the same ``O(Z/64)``-words-per-
-        candidate rounds.  ``None`` (the default, and all scalar paths)
-        sends selection loops to per-candidate estimation.
+        candidate rounds.  ``None`` (the default, e.g. exact
+        estimation) sends selection loops to per-candidate estimation.
         """
         return None
 

@@ -82,9 +82,9 @@ def exact_reliability(
     """
     if source == target:
         return 1.0
-    if source not in graph or target not in graph:
-        return 0.0
     work = graph.copy() if extra_edges is None else graph.with_edges(extra_edges)
+    if source not in work or target not in work:
+        return 0.0  # overlay endpoints count as nodes
     relevant = _relevant_subgraph(work, source, target)
     if relevant is None:
         return 0.0

@@ -1,206 +1,28 @@
 """Lazy-propagation Monte Carlo (geometric run-length coin flipping).
 
-Re-implements the sampling trick of Li et al. (SIGMOD 2017): instead of
-flipping a fresh coin for an edge in every sample, draw from a geometric
+The sampling trick of Li et al. (SIGMOD 2017): instead of flipping a
+fresh coin for an edge in every sample, draw from a geometric
 distribution how many consecutive samples the edge stays *absent* and
 skip ahead.  Marginally each sample still sees an independent
-Bernoulli(p) state per edge, but the per-sample cost of repeatedly-probed
-low-probability edges collapses.
+Bernoulli(p) state per edge, so the trick is an *ordering* optimization
+of the same statistical object plain MC estimates: ``Z`` i.i.d.
+possible worlds.
 
-This estimator matters for workloads that evaluate the same graph for
-many samples — the exact setting of the top-k edge-selection loops.
-
-The geometric-skipping trick is an *ordering* optimization of the same
-statistical object plain MC estimates: ``Z`` i.i.d. possible worlds.  On
-the vectorized engine (:mod:`repro.engine`) all coins are flipped in one
-batched draw, so skipping buys nothing there — ``vectorized=True``
-delegates straight to the engine and keeps the scalar path as the
-numpy-less fallback.
+On the batch engine (:mod:`repro.engine`) all coins of all ``Z`` worlds
+are drawn in one pass, so skipping buys nothing: lazy propagation *is*
+plain Monte Carlo there, kept under its own registry name.
 """
 
 from __future__ import annotations
 
-import math
-import random
-from collections import deque
-from typing import Dict, Optional, Tuple
-
-from ..graph import UncertainGraph
-from .estimator import (
-    Overlay,
-    ReliabilityEstimator,
-    SelectionBackend,
-    build_overlay,
-)
-
-try:
-    from ..engine import VectorizedSamplingEngine
-except ImportError:  # pragma: no cover - numpy-less fallback
-    VectorizedSamplingEngine = None  # type: ignore[assignment,misc]
-
-EdgeKey = Tuple[int, int]
+from .monte_carlo import MonteCarloEstimator
 
 
-class LazyPropagationEstimator(ReliabilityEstimator):
-    """Monte Carlo with geometric skipping over the sample index axis.
+class LazyPropagationEstimator(MonteCarloEstimator):
+    """Lazy-propagation MC: :class:`MonteCarloEstimator` on the engine.
 
-    For each edge we maintain the next sample index at which it will be
-    present.  When sample ``i`` probes an edge whose scheduled index has
-    fallen behind, the schedule advances by independent geometric draws —
-    preserving the i.i.d. Bernoulli marginals across samples.
-
-    ``vectorized=True`` runs on the batch engine (the lazy schedule is
-    subsumed by batched coin generation), ``False`` forces the scalar
-    geometric-skipping path, ``None`` auto-selects the engine when numpy
-    is importable.  Both paths share one statistical contract but consume
-    different PRNG streams (see :class:`MonteCarloEstimator`).
+    Same seed, same bits as ``mc`` — the geometric schedule is subsumed
+    by batched coin generation.
     """
 
     name = "lazy"
-
-    def __init__(
-        self,
-        num_samples: int = 1000,
-        seed: int = 0,
-        vectorized: Optional[bool] = None,
-    ) -> None:
-        if num_samples < 1:
-            raise ValueError("num_samples must be positive")
-        if vectorized is None:
-            vectorized = VectorizedSamplingEngine is not None
-        elif vectorized and VectorizedSamplingEngine is None:
-            raise RuntimeError("vectorized=True requires numpy")
-        self.num_samples = num_samples
-        self.vectorized = vectorized
-        self._rng = random.Random(seed)
-        self._engine = (
-            VectorizedSamplingEngine(seed) if vectorized else None
-        )
-
-    def selection_backend(self) -> Optional[Tuple[int, int]]:
-        """On the engine, lazy propagation *is* plain batched MC (the
-        geometric schedule is subsumed by batched coin generation), so
-        selection loops may batch it through the gain kernel."""
-        if self._engine is None:
-            return None
-        return SelectionBackend(self.num_samples, self._engine.seed)
-
-    # ------------------------------------------------------------------
-    def reliability(
-        self,
-        graph: UncertainGraph,
-        source: int,
-        target: int,
-        extra_edges: Overlay = None,
-    ) -> float:
-        if source == target:
-            return 1.0
-        if source not in graph or target not in graph:
-            return 0.0
-        if self._engine is not None:
-            return self._engine.reliability(
-                graph, source, target, self.num_samples,
-                list(extra_edges) if extra_edges else None,
-            )
-        overlay = build_overlay(graph, extra_edges)
-        canonical = not graph.directed
-        schedule: Dict[EdgeKey, int] = {}
-        hits = 0
-        for i in range(self.num_samples):
-            if self._bfs(graph, overlay, source, target, i, schedule, canonical):
-                hits += 1
-        return hits / self.num_samples
-
-    def reachability_from(
-        self,
-        graph: UncertainGraph,
-        source: int,
-        extra_edges: Overlay = None,
-    ) -> Dict[int, float]:
-        if source not in graph:
-            return {}
-        if self._engine is not None:
-            return self._engine.reachability_from(
-                graph, source, self.num_samples,
-                list(extra_edges) if extra_edges else None,
-            )
-        overlay = build_overlay(graph, extra_edges)
-        canonical = not graph.directed
-        schedule: Dict[EdgeKey, int] = {}
-        counts: Dict[int, int] = {}
-        for i in range(self.num_samples):
-            reach = self._bfs(
-                graph, overlay, source, None, i, schedule, canonical
-            )
-            for node in reach:
-                counts[node] = counts.get(node, 0) + 1
-        result = {node: c / self.num_samples for node, c in counts.items()}
-        result[source] = 1.0
-        return result
-
-    # ------------------------------------------------------------------
-    def _edge_alive(
-        self,
-        key: EdgeKey,
-        p: float,
-        sample_index: int,
-        schedule: Dict[EdgeKey, int],
-    ) -> bool:
-        """Is the edge present in this sample?  Advances the schedule."""
-        if p >= 1.0:
-            return True
-        if p <= 0.0:
-            return False
-        nxt = schedule.get(key)
-        if nxt is None:
-            # First touch: the edge becomes present after Geom(p) - 1
-            # failures starting at this sample.
-            nxt = sample_index + self._geometric(p) - 1
-        while nxt < sample_index:
-            nxt += self._geometric(p)
-        alive = nxt == sample_index
-        if alive:
-            schedule[key] = sample_index + self._geometric(p)
-        else:
-            schedule[key] = nxt
-        return alive
-
-    def _geometric(self, p: float) -> int:
-        """Geometric(p) on {1, 2, ...} via inverse-CDF sampling."""
-        u = self._rng.random()
-        # Guard against log(0); random() is in [0, 1).
-        return max(1, int(math.ceil(math.log(1.0 - u) / math.log(1.0 - p))))
-
-    def _bfs(
-        self,
-        graph: UncertainGraph,
-        overlay,
-        source: int,
-        target: Optional[int],
-        sample_index: int,
-        schedule: Dict[EdgeKey, int],
-        canonical: bool,
-    ):
-        """BFS for one sample; returns bool (target mode) or reach set."""
-        visited = {source}
-        frontier = deque([source])
-        while frontier:
-            u = frontier.popleft()
-            neighbors = list(graph.successors(u).items())
-            if overlay and u in overlay:
-                neighbors.extend(overlay[u])
-            for v, p in neighbors:
-                if v in visited:
-                    continue
-                if canonical and v < u:
-                    key = (v, u)
-                else:
-                    key = (u, v)
-                if self._edge_alive(key, p, sample_index, schedule):
-                    if target is not None and v == target:
-                        return True
-                    visited.add(v)
-                    frontier.append(v)
-        if target is not None:
-            return False
-        return visited

@@ -1,56 +1,35 @@
 """Monte Carlo reliability estimation.
 
 The fundamental estimator (Fishman 1986): sample ``Z`` possible worlds
-and report the fraction in which the target is reachable.  Two
-implementations share one statistical contract:
+and report the fraction in which the target is reachable.  Sampling
+runs on the batch engine (:mod:`repro.engine`): every edge's coins in
+all ``Z`` worlds are keyed SplitMix64 hashes of one base drawn from the
+seeded generator, bit-packed into ``(num_edges, Z/64)`` words, and a
+batch BFS advances every sample per sweep.
 
-* the **vectorized engine** (default, :mod:`repro.engine`) flips coins
-  for all ``Z`` samples with one seeded ``numpy`` generator and runs a
-  bit-packed batch BFS that advances every sample per sweep;
-* the **scalar fallback** flips edge coins *during* a per-sample BFS —
-  an edge's state is only decided when the traversal first relaxes it,
-  which is equivalent in distribution and touches only the reachable
-  region (the "MC + BFS" refinement of Jin et al., PVLDB'11).
-
-Both are unbiased with variance ``R(1-R)/Z`` and deterministic given a
-seed, but they consume different PRNG streams, so estimates are not
-bit-for-bit identical across the two paths (only statistically so).
+The estimate is unbiased with variance ``R(1-R)/Z`` and deterministic
+given a seed.
 """
 
 from __future__ import annotations
 
-import random
-from collections import deque
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
+from ..engine import VectorizedSamplingEngine
 from ..graph import UncertainGraph
-from .estimator import (
-    Overlay,
-    ReliabilityEstimator,
-    SelectionBackend,
-    build_overlay,
-)
-
-try:
-    from ..engine import VectorizedSamplingEngine
-except ImportError:  # pragma: no cover - numpy-less fallback
-    VectorizedSamplingEngine = None  # type: ignore[assignment,misc]
+from .estimator import Overlay, ReliabilityEstimator, SelectionBackend
 
 
 class MonteCarloEstimator(ReliabilityEstimator):
-    """Monte Carlo sampling with per-sample lazily-sampled BFS.
+    """Monte Carlo sampling over ``Z`` possible worlds.
 
     Parameters
     ----------
     num_samples:
         Number of sampled possible worlds ``Z``.
     seed:
-        Seed for the internal PRNG.  Two estimators with the same seed
-        produce identical estimates for identical query sequences.
-    vectorized:
-        ``True`` delegates to the batch engine, ``False`` forces the
-        legacy scalar BFS, ``None`` (default) auto-selects the engine
-        when numpy is importable.
+        Seed for the engine's generator.  Two estimators with the same
+        seed produce identical estimates for identical query sequences.
 
     Notes
     -----
@@ -60,30 +39,15 @@ class MonteCarloEstimator(ReliabilityEstimator):
 
     name = "mc"
 
-    def __init__(
-        self,
-        num_samples: int = 1000,
-        seed: int = 0,
-        vectorized: Optional[bool] = None,
-    ) -> None:
+    def __init__(self, num_samples: int = 1000, seed: int = 0) -> None:
         if num_samples < 1:
             raise ValueError("num_samples must be positive")
-        if vectorized is None:
-            vectorized = VectorizedSamplingEngine is not None
-        elif vectorized and VectorizedSamplingEngine is None:
-            raise RuntimeError("vectorized=True requires numpy")
         self.num_samples = num_samples
-        self.vectorized = vectorized
-        self._rng = random.Random(seed)
-        self._engine = (
-            VectorizedSamplingEngine(seed) if vectorized else None
-        )
+        self._engine = VectorizedSamplingEngine(seed)
 
     def selection_backend(self) -> Optional[Tuple[int, int]]:
         """Plain fixed-Z hit rates on the engine batch into the
-        selection-gain kernel; ``None`` on the scalar path."""
-        if self._engine is None:
-            return None
+        selection-gain kernel."""
         return SelectionBackend(self.num_samples, self._engine.seed)
 
     # ------------------------------------------------------------------
@@ -94,23 +58,10 @@ class MonteCarloEstimator(ReliabilityEstimator):
         target: int,
         extra_edges: Overlay = None,
     ) -> float:
-        if source == target:
-            return 1.0
-        if source not in graph or target not in graph:
-            return 0.0
-        if self._engine is not None:
-            return self._engine.reliability(
-                graph, source, target, self.num_samples,
-                list(extra_edges) if extra_edges else None,
-            )
-        overlay = build_overlay(graph, extra_edges)
-        hits = 0
-        rand = self._rng.random
-        succ = graph.successors
-        for _ in range(self.num_samples):
-            if self._sampled_bfs_hits_target(succ, overlay, source, target, rand):
-                hits += 1
-        return hits / self.num_samples
+        return self._engine.reliability(
+            graph, source, target, self.num_samples,
+            list(extra_edges) if extra_edges else None,
+        )
 
     def reachability_from(
         self,
@@ -118,23 +69,10 @@ class MonteCarloEstimator(ReliabilityEstimator):
         source: int,
         extra_edges: Overlay = None,
     ) -> Dict[int, float]:
-        if source not in graph:
-            return {}
-        if self._engine is not None:
-            return self._engine.reachability_from(
-                graph, source, self.num_samples,
-                list(extra_edges) if extra_edges else None,
-            )
-        overlay = build_overlay(graph, extra_edges)
-        counts: Dict[int, int] = {}
-        rand = self._rng.random
-        succ = graph.successors
-        for _ in range(self.num_samples):
-            for node in self._sampled_bfs_reach_set(succ, overlay, source, rand):
-                counts[node] = counts.get(node, 0) + 1
-        result = {node: c / self.num_samples for node, c in counts.items()}
-        result[source] = 1.0
-        return result
+        return self._engine.reachability_from(
+            graph, source, self.num_samples,
+            list(extra_edges) if extra_edges else None,
+        )
 
     def pair_reliabilities(
         self,
@@ -144,37 +82,14 @@ class MonteCarloEstimator(ReliabilityEstimator):
     ) -> Dict[Tuple[int, int], float]:
         """Shared-world evaluation of many pairs.
 
-        Each sample fixes one possible world (via a shared coin cache) and
-        answers every pair inside it, so pair estimates are consistent —
-        exactly how the paper evaluates multi-source-target objectives.
+        One world batch answers every pair, so pair estimates are
+        consistent — exactly how the paper evaluates
+        multi-source-target objectives.
         """
-        if not pairs:
-            return {}
-        if self._engine is not None:
-            return self._engine.pair_reliabilities(
-                graph, list(pairs), self.num_samples,
-                list(extra_edges) if extra_edges else None,
-            )
-        overlay = build_overlay(graph, extra_edges)
-        sources = sorted({s for s, _ in pairs})
-        counts = {pair: 0 for pair in pairs}
-        by_source: Dict[int, List[Tuple[int, int]]] = {}
-        for s, t in pairs:
-            by_source.setdefault(s, []).append((s, t))
-        rand = self._rng.random
-        succ = graph.successors
-        canonical = not graph.directed
-        for _ in range(self.num_samples):
-            coin_cache: Dict[Tuple[int, int], bool] = {}
-            for s in sources:
-                reach = self._sampled_bfs_reach_set(
-                    succ, overlay, s, rand,
-                    coin_cache=coin_cache, canonical=canonical,
-                )
-                for pair in by_source[s]:
-                    if pair[1] in reach or pair[1] == s:
-                        counts[pair] += 1
-        return {pair: c / self.num_samples for pair, c in counts.items()}
+        return self._engine.pair_reliabilities(
+            graph, list(pairs), self.num_samples,
+            list(extra_edges) if extra_edges else None,
+        )
 
     def multi_source_reachability(
         self,
@@ -182,101 +97,7 @@ class MonteCarloEstimator(ReliabilityEstimator):
         sources: Sequence[int],
         extra_edges: Overlay = None,
     ) -> Dict[int, float]:
-        if self._engine is not None:
-            return self._engine.multi_source_reachability(
-                graph, list(sources), self.num_samples,
-                list(extra_edges) if extra_edges else None,
-            )
-        overlay = build_overlay(graph, extra_edges)
-        counts: Dict[int, int] = {}
-        rand = self._rng.random
-        succ = graph.successors
-        canonical = not graph.directed
-        valid_sources = [s for s in sources if s in graph]
-        for _ in range(self.num_samples):
-            coin_cache: Dict[Tuple[int, int], bool] = {}
-            union: Set[int] = set()
-            for s in valid_sources:
-                if s in union:
-                    continue  # already reached by an earlier source's world
-                union |= self._sampled_bfs_reach_set(
-                    succ, overlay, s, rand,
-                    coin_cache=coin_cache, canonical=canonical,
-                )
-            for node in union:
-                counts[node] = counts.get(node, 0) + 1
-        result = {node: c / self.num_samples for node, c in counts.items()}
-        for s in valid_sources:
-            result[s] = 1.0
-        return result
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _sampled_bfs_hits_target(succ, overlay, source, target, rand) -> bool:
-        """One world: BFS with on-the-fly coin flips, early exit at target."""
-        visited = {source}
-        frontier = deque([source])
-        while frontier:
-            u = frontier.popleft()
-            for v, p in succ(u).items():
-                if v in visited:
-                    continue
-                if p >= 1.0 or rand() < p:
-                    if v == target:
-                        return True
-                    visited.add(v)
-                    frontier.append(v)
-            if overlay:
-                for v, p in overlay.get(u, ()):
-                    if v in visited:
-                        continue
-                    if p >= 1.0 or rand() < p:
-                        if v == target:
-                            return True
-                        visited.add(v)
-                        frontier.append(v)
-        return False
-
-    @staticmethod
-    def _sampled_bfs_reach_set(
-        succ,
-        overlay,
-        source,
-        rand,
-        coin_cache: Optional[Dict[Tuple[int, int], bool]] = None,
-        canonical: bool = True,
-    ) -> Set[int]:
-        """One world: full reach set from ``source``.
-
-        With ``coin_cache`` the edge states are shared across calls, so
-        several sources can be evaluated inside the *same* world.
-        ``canonical`` collapses ``(u, v)``/``(v, u)`` cache keys — required
-        for undirected graphs where both orientations are one edge.
-        """
-        visited = {source}
-        frontier = deque([source])
-        while frontier:
-            u = frontier.popleft()
-            neighbors = list(succ(u).items())
-            if overlay and u in overlay:
-                neighbors.extend(overlay[u])
-            for v, p in neighbors:
-                if v in visited:
-                    continue
-                if coin_cache is None:
-                    alive = p >= 1.0 or rand() < p
-                else:
-                    if canonical and v < u:
-                        key = (v, u)
-                    else:
-                        key = (u, v)
-                    alive = coin_cache.get(key)
-                    if alive is None:
-                        alive = p >= 1.0 or rand() < p
-                        coin_cache[key] = alive
-                if alive:
-                    visited.add(v)
-                    frontier.append(v)
-        return visited
+        return self._engine.multi_source_reachability(
+            graph, list(sources), self.num_samples,
+            list(extra_edges) if extra_edges else None,
+        )

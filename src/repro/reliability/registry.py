@@ -9,29 +9,28 @@ all call :func:`make_estimator`.
 Each entry is an :class:`EstimatorSpec` describing, besides the factory,
 the capabilities the session layer needs to plan execution:
 
-``supports_vectorized``
-    The constructor accepts a ``vectorized=`` flag and can run on the
-    batch engine (:mod:`repro.engine`).
 ``shares_worlds``
     Estimates are a plain hit-rate over ``Z`` i.i.d. possible worlds, so
     a :class:`~repro.api.Session` may answer the query from a *shared*
     fixed-Z world batch (true for plain MC and lazy propagation, whose
-    scalar trick is only a sampling-order optimization).  Stratified and
-    adaptive samplers condition or grow their sample sets and must run
-    per query.
+    geometric skipping is only a sampling-order optimization).
+    Stratified and adaptive samplers condition or grow their sample sets
+    and must run per query.
 ``fixed_samples``
     ``Z`` is a fixed budget.  Adaptive estimators choose ``Z`` at query
     time, which is exactly what a pre-sampled shared batch cannot serve.
 
 Selection-backend support matrix
 --------------------------------
-Every registered estimator's *vectorized* instance reports an engine
+Every registered estimator samples on the batch engine
+(:mod:`repro.engine`) and reports a
 :meth:`~repro.reliability.estimator.ReliabilityEstimator.selection_backend`,
 so ``hill_climbing`` / ``individual_top_k`` (and session maximize
 queries) auto-route all of them through the batched selection-gain
-kernel (:mod:`repro.engine.selection`); scalar instances
-(``vectorized=False``) return ``None`` and keep the per-candidate loop.
-What differs is the *base batch* candidates are scored against:
+kernel (:mod:`repro.engine.selection`); estimators without a backend
+(:class:`~repro.reliability.exact.ExactEstimator`, third-party
+samplers) keep the per-candidate loop.  What differs is the *base
+batch* candidates are scored against:
 
 ========== =============== ============================================
 name       shares_worlds   selection_backend base batch
@@ -60,7 +59,7 @@ end.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 from .adaptive import AdaptiveMonteCarlo
 from .estimator import ReliabilityEstimator
@@ -69,7 +68,7 @@ from .monte_carlo import MonteCarloEstimator
 from .rss import RecursiveStratifiedSampler
 
 EstimatorFactory = Callable[..., ReliabilityEstimator]
-"""``factory(samples, seed, vectorized, **kwargs) -> estimator``."""
+"""``factory(samples, seed, **kwargs) -> estimator``."""
 
 
 @dataclass(frozen=True)
@@ -79,7 +78,6 @@ class EstimatorSpec:
     name: str
     factory: EstimatorFactory
     description: str = ""
-    supports_vectorized: bool = True
     shares_worlds: bool = False
     fixed_samples: bool = True
 
@@ -93,7 +91,6 @@ def register_estimator(
     factory: EstimatorFactory,
     *,
     description: str = "",
-    supports_vectorized: bool = True,
     shares_worlds: bool = False,
     fixed_samples: bool = True,
     aliases: Tuple[str, ...] = (),
@@ -109,7 +106,7 @@ def register_estimator(
         ``factory(samples, seed, **kwargs) -> ReliabilityEstimator``.
     description : str, optional
         One-line human-readable summary.
-    supports_vectorized, shares_worlds, fixed_samples : bool, optional
+    shares_worlds, fixed_samples : bool, optional
         Execution-planning capabilities (see the module docstring).
     aliases : tuple of str, optional
         Additional lookup keys for the same entry.
@@ -155,7 +152,6 @@ def register_estimator(
         name=key,
         factory=factory,
         description=description,
-        supports_vectorized=supports_vectorized,
         shares_worlds=shares_worlds,
         fixed_samples=fixed_samples,
     )
@@ -186,7 +182,6 @@ def make_estimator(
     name: str,
     samples: int = 1000,
     seed: int = 0,
-    vectorized: Optional[bool] = None,
     **kwargs,
 ) -> ReliabilityEstimator:
     """Build any registered estimator by name.
@@ -199,11 +194,7 @@ def make_estimator(
     samples : int, optional
         Sample budget ``Z`` (the cap for adaptive estimators).
     seed : int, optional
-        Sampler seed; equal seeds give deterministic estimates per
-        backend path.
-    vectorized : bool or None, optional
-        Forwarded when the entry supports the engine path; ``None``
-        keeps the estimator's default, ``False`` forces the scalar BFS.
+        Sampler seed; equal seeds give bit-identical estimates.
     **kwargs
         Passed to the registered factory verbatim.
 
@@ -221,12 +212,7 @@ def make_estimator(
     >>> round(est.reliability(g, 0, 1), 1)
     0.7
     """
-    spec = estimator_spec(name)
-    if spec.supports_vectorized:
-        kwargs.setdefault("vectorized", vectorized)
-    elif vectorized:
-        raise ValueError(f"estimator {name!r} has no vectorized path")
-    return spec.factory(samples, seed, **kwargs)
+    return estimator_spec(name).factory(samples, seed, **kwargs)
 
 
 # ----------------------------------------------------------------------

@@ -15,10 +15,17 @@ the effect Tables 6 and 7 measure.
 
 from __future__ import annotations
 
-import random
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
+import numpy as np
+
+from ..engine import (
+    VectorizedSamplingEngine,
+    build_query_plan,
+    sample_worlds,
+    sample_worlds_stratified,
+)
 from ..graph import UncertainGraph
 from .estimator import (
     Overlay,
@@ -26,21 +33,6 @@ from .estimator import (
     SelectionBackend,
     build_overlay,
 )
-
-try:
-    import numpy as np
-
-    from ..engine import (
-        VectorizedSamplingEngine,
-        build_query_plan,
-        sample_worlds,
-        sample_worlds_stratified,
-    )
-except ImportError:  # pragma: no cover - numpy-less fallback
-    np = None  # type: ignore[assignment]
-    VectorizedSamplingEngine = None  # type: ignore[assignment,misc]
-    build_query_plan = None  # type: ignore[assignment]
-    sample_worlds = sample_worlds_stratified = None  # type: ignore
 
 EdgeKey = Tuple[int, int]
 
@@ -79,17 +71,14 @@ class RecursiveStratifiedSampler(ReliabilityEstimator):
     max_depth:
         Recursion guard; deeper strata fall back to MC.
     seed:
-        PRNG seed.
-    vectorized:
-        ``True`` runs the Monte Carlo leaves of the stratification tree
-        on the batch engine (stratum recursion itself stays scalar —
-        it is structure discovery, not sampling), ``False`` forces the
-        legacy per-sample BFS, ``None`` auto-selects.
+        Seed of the engine generator that samples the Monte Carlo
+        leaves of the stratification tree (the stratum recursion itself
+        is structure discovery, not sampling).
 
     Notes
     -----
-    Not thread-safe: beyond the PRNG, the estimator briefly stores the
-    active query's compiled plan while the recursion runs.
+    Not thread-safe: beyond the generator, the estimator briefly stores
+    the active query's compiled plan while the recursion runs.
     """
 
     name = "rss"
@@ -101,43 +90,31 @@ class RecursiveStratifiedSampler(ReliabilityEstimator):
         mc_threshold: int = 40,
         max_depth: int = 8,
         seed: int = 0,
-        vectorized: Optional[bool] = None,
     ) -> None:
         if num_samples < 1:
             raise ValueError("num_samples must be positive")
         if num_stratify_edges < 1:
             raise ValueError("num_stratify_edges must be positive")
-        if vectorized is None:
-            vectorized = VectorizedSamplingEngine is not None
-        elif vectorized and VectorizedSamplingEngine is None:
-            raise RuntimeError("vectorized=True requires numpy")
         self.num_samples = num_samples
         self.num_stratify_edges = num_stratify_edges
         self.mc_threshold = mc_threshold
         self.max_depth = max_depth
-        self.vectorized = vectorized
-        self._rng = random.Random(seed)
-        self._engine = (
-            VectorizedSamplingEngine(seed) if vectorized else None
-        )
+        self._engine = VectorizedSamplingEngine(seed)
         self._active_plan = None
 
     # ------------------------------------------------------------------
     # batched selection backend (per-stratum shared worlds)
     # ------------------------------------------------------------------
     def selection_backend(self):
-        """Per-stratum shared-world backend on the engine path.
+        """Per-stratum shared-world backend.
 
         Selection loops score every candidate against one *stratified*
         base batch built by :meth:`selection_batch`: the estimator's
         level-1 stratification of the query's source frontier, with
         samples allocated proportionally to stratum probability — the
         same variance-reduction idea as the recursive estimate, flat
-        enough to serve as a single shared world batch.  ``None`` on
-        the scalar path (selection then stays per-candidate).
+        enough to serve as a single shared world batch.
         """
-        if self._engine is None:
-            return None
         return SelectionBackend(
             self.num_samples, self._engine.seed,
             make_batch=self.selection_batch,
@@ -189,13 +166,12 @@ class RecursiveStratifiedSampler(ReliabilityEstimator):
     ) -> float:
         if source == target:
             return 1.0
-        if source not in graph or target not in graph:
-            return 0.0
         extra = list(extra_edges) if extra_edges else None
+        plan = build_query_plan(graph, extra)
+        if plan.node_index(source) is None or plan.node_index(target) is None:
+            return 0.0  # overlay endpoints count as nodes
         adj = _Adjacency(graph, build_overlay(graph, extra))
-        self._active_plan = (
-            build_query_plan(graph, extra) if self._engine else None
-        )
+        self._active_plan = plan
         try:
             return self._estimate(adj, source, target, {}, self.num_samples, 0)
         finally:
@@ -211,9 +187,7 @@ class RecursiveStratifiedSampler(ReliabilityEstimator):
             return {}
         extra = list(extra_edges) if extra_edges else None
         adj = _Adjacency(graph, build_overlay(graph, extra))
-        self._active_plan = (
-            build_query_plan(graph, extra) if self._engine else None
-        )
+        self._active_plan = build_query_plan(graph, extra)
         counts: Dict[int, float] = {}
         try:
             self._estimate_vector(
@@ -242,7 +216,7 @@ class RecursiveStratifiedSampler(ReliabilityEstimator):
         if target not in self._potential_region(adj, source, forced):
             return 0.0
         if depth >= self.max_depth or budget < self.mc_threshold:
-            return self._monte_carlo(adj, source, target, forced, max(budget, 1))
+            return self._monte_carlo(source, target, forced, max(budget, 1))
 
         strata_edges = self._select_strata_edges(adj, certain, forced)
         if not strata_edges:
@@ -281,7 +255,7 @@ class RecursiveStratifiedSampler(ReliabilityEstimator):
             return 0.0
         allocated = max(allocated, 1)
         if allocated < self.mc_threshold:
-            return self._monte_carlo(adj, source, target, forced, allocated)
+            return self._monte_carlo(source, target, forced, allocated)
         return self._estimate(adj, source, target, forced, allocated, depth + 1)
 
     # ------------------------------------------------------------------
@@ -300,7 +274,7 @@ class RecursiveStratifiedSampler(ReliabilityEstimator):
         """Accumulate ``weight * P(node reachable)`` into ``out``."""
         certain = self._certain_region(adj, source, forced)
         if depth >= self.max_depth or budget < self.mc_threshold:
-            self._monte_carlo_vector(adj, source, forced, max(budget, 1), weight, out)
+            self._monte_carlo_vector(source, forced, max(budget, 1), weight, out)
             return
         strata_edges = self._select_strata_edges(adj, certain, forced)
         if not strata_edges:
@@ -317,7 +291,7 @@ class RecursiveStratifiedSampler(ReliabilityEstimator):
                 allocated = max(int(round(budget * pi)), 1)
                 if allocated < self.mc_threshold:
                     self._monte_carlo_vector(
-                        adj, source, stratum_forced, allocated, weight * pi, out
+                        source, stratum_forced, allocated, weight * pi, out
                     )
                 else:
                     self._estimate_vector(
@@ -330,8 +304,7 @@ class RecursiveStratifiedSampler(ReliabilityEstimator):
             allocated = max(int(round(budget * prefix_absent)), 1)
             if allocated < self.mc_threshold:
                 self._monte_carlo_vector(
-                    adj, source, forced_base, allocated,
-                    weight * prefix_absent, out,
+                    source, forced_base, allocated, weight * prefix_absent, out
                 )
             else:
                 self._estimate_vector(
@@ -402,71 +375,27 @@ class RecursiveStratifiedSampler(ReliabilityEstimator):
 
     def _monte_carlo(
         self,
-        adj: _Adjacency,
         source: int,
         target: int,
         forced: Dict[EdgeKey, bool],
         num_samples: int,
     ) -> float:
-        if self._engine is not None and self._active_plan is not None:
-            return self._engine.stratified_reliability(
-                self._active_plan, source, target, forced, num_samples
-            )
-        rand = self._rng.random
-        hits = 0
-        for _ in range(num_samples):
-            visited = {source}
-            frontier = deque([source])
-            found = False
-            while frontier and not found:
-                u = frontier.popleft()
-                for v, p, key in adj.neighbors(u):
-                    if v in visited:
-                        continue
-                    status = forced.get(key)
-                    if status is False:
-                        continue
-                    if status is True or p >= 1.0 or rand() < p:
-                        if v == target:
-                            found = True
-                            break
-                        visited.add(v)
-                        frontier.append(v)
-            if found:
-                hits += 1
-        return hits / num_samples
+        """MC leaf: engine hit rate conditioned on the stratum's pins."""
+        return self._engine.stratified_reliability(
+            self._active_plan, source, target, forced, num_samples
+        )
 
     def _monte_carlo_vector(
         self,
-        adj: _Adjacency,
         source: int,
         forced: Dict[EdgeKey, bool],
         num_samples: int,
         weight: float,
         out: Dict[int, float],
     ) -> None:
-        if self._engine is not None and self._active_plan is not None:
-            counts = self._engine.stratified_reach_counts(
-                self._active_plan, source, forced, num_samples
-            )
-            for node, fraction in counts.items():
-                out[node] = out.get(node, 0.0) + weight * fraction
-            return
-        rand = self._rng.random
-        unit = weight / num_samples
-        for _ in range(num_samples):
-            visited = {source}
-            frontier = deque([source])
-            while frontier:
-                u = frontier.popleft()
-                for v, p, key in adj.neighbors(u):
-                    if v in visited:
-                        continue
-                    status = forced.get(key)
-                    if status is False:
-                        continue
-                    if status is True or p >= 1.0 or rand() < p:
-                        visited.add(v)
-                        frontier.append(v)
-            for node in visited:
-                out[node] = out.get(node, 0.0) + unit
+        """MC leaf: accumulate ``weight`` times conditioned reach rates."""
+        counts = self._engine.stratified_reach_counts(
+            self._active_plan, source, forced, num_samples
+        )
+        for node, fraction in counts.items():
+            out[node] = out.get(node, 0.0) + weight * fraction

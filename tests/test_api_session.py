@@ -10,14 +10,17 @@ from repro.api import (
     results_table,
 )
 from repro.core import ReliabilityMaximizer
-from repro.graph import assign_uniform, erdos_renyi
+from repro.graph import UncertainGraph, assign_uniform, erdos_renyi
 from repro.reliability import (
     MonteCarloEstimator,
     estimator_names,
     estimator_spec,
+    exact_reliability,
     make_estimator,
     register_estimator,
 )
+
+from oracle import assert_close_to_exact
 
 
 @pytest.fixture
@@ -89,10 +92,10 @@ class TestSessionParity:
 
     def test_shared_batch_is_engine_deterministic(self, graph):
         # The shared world batch for (Z, seed) must be the batch a fresh
-        # vectorized estimator with that seed would sample.
+        # estimator with that seed would sample.
         session = Session(graph, seed=5)
         a = session.reliability(0, target=30, samples=512, seed=21)
-        solo = MonteCarloEstimator(512, seed=21, vectorized=True)
+        solo = MonteCarloEstimator(512, seed=21)
         assert a.value == solo.reliability(graph, 0, 30)
 
     def test_multi_target_consistent_with_single(self, graph):
@@ -132,7 +135,6 @@ class TestSessionBatching:
             ReliabilityQuery(2, target=30, estimator="lazy", samples=128),
         ]))
         assert len(session._worlds) == 1
-        assert all(r.provenance.backend == "engine" for r in results)
         assert results[0].provenance.shared_worlds
 
     def test_distinct_seeds_get_distinct_worlds(self, graph):
@@ -314,7 +316,7 @@ class TestResults:
             Workload.reliability([(0, 10), (1, 20)], samples=64)
         )
         rendered = results_table(results, title="t").render()
-        assert "R(s,t)" in rendered and "engine" in rendered
+        assert "R(s,t)" in rendered and "shared" in rendered
 
 
 class TestRegistry:
@@ -364,8 +366,6 @@ class TestRegistry:
 
     def test_custom_estimator_usable_in_session(self, graph):
         class ConstantEstimator:
-            vectorized = False
-
             def __init__(self, value):
                 self.value = value
 
@@ -375,62 +375,49 @@ class TestRegistry:
         register_estimator(
             "constant-test",
             lambda samples, seed, **kw: ConstantEstimator(0.25),
-            supports_vectorized=False,
             overwrite=True,
         )
         result = Session(graph).reliability(
             0, target=10, estimator="constant-test", samples=16
         )
         assert result.value == 0.25
-        assert result.provenance.backend == "scalar"
 
 
-class TestVectorizedFlags:
-    """Every registry entry honors vectorized= (ROADMAP open item)."""
+class TestEngineEstimators:
+    """Registry estimators against the exact oracle; adaptive's cap and
+    overlay handling."""
 
-    @pytest.mark.parametrize("name", ["mc", "rss", "lazy", "adaptive"])
-    def test_flag_accepted_and_recorded(self, name):
-        est = make_estimator(name, 64, vectorized=True)
-        assert est.vectorized is True
-        est = make_estimator(name, 64, vectorized=False)
-        assert est.vectorized is False
+    @pytest.fixture
+    def small(self):
+        return UncertainGraph.from_edges([
+            (0, 1, 0.6), (1, 2, 0.5), (2, 3, 0.7), (0, 4, 0.4),
+            (4, 3, 0.5), (1, 4, 0.3),
+        ])
 
-    def test_lazy_vectorized_statistical_parity(self, graph):
-        fast = make_estimator("lazy", 4000, seed=1, vectorized=True)
-        slow = make_estimator("lazy", 4000, seed=2, vectorized=False)
-        a = fast.reliability(graph, 0, 20)
-        b = slow.reliability(graph, 0, 20)
-        assert a == pytest.approx(b, abs=0.06)
+    def test_lazy_against_exact(self, small):
+        value = make_estimator("lazy", 4000, seed=1).reliability(small, 0, 3)
+        assert_close_to_exact(value, exact_reliability(small, 0, 3), 4000)
 
-    def test_adaptive_vectorized_statistical_parity(self, graph):
-        fast = make_estimator(
-            "adaptive", 20000, seed=1, vectorized=True,
-            target_half_width=0.02,
-        )
-        slow = make_estimator(
-            "adaptive", 20000, seed=2, vectorized=False,
-            target_half_width=0.02,
-        )
-        a = fast.estimate(graph, 0, 20)
-        b = slow.estimate(graph, 0, 20)
-        assert a.value == pytest.approx(b.value, abs=0.06)
-        assert a.half_width <= 0.02 + 1e-9
-        assert b.half_width <= 0.02 + 1e-9
-
-    def test_adaptive_vectorized_respects_cap(self, graph):
+    def test_adaptive_against_exact(self, small):
         est = make_estimator(
-            "adaptive", 600, vectorized=True, target_half_width=0.0001,
-            block_size=250,
+            "adaptive", 20000, seed=1, target_half_width=0.02,
+        ).estimate(small, 0, 3)
+        assert_close_to_exact(
+            est.value, exact_reliability(small, 0, 3), est.samples_used
+        )
+        assert est.half_width <= 0.02 + 1e-9
+
+    def test_adaptive_respects_cap(self, graph):
+        est = make_estimator(
+            "adaptive", 600, target_half_width=0.0001, block_size=250,
         )
         result = est.estimate(graph, 0, 20)
         assert result.samples_used == 600
 
-    def test_adaptive_vectorized_overlay(self, graph):
-        est = make_estimator(
-            "adaptive", 5000, vectorized=True, target_half_width=0.02
-        )
+    def test_adaptive_overlay(self, graph):
+        est = make_estimator("adaptive", 5000, target_half_width=0.02)
         plain = est.estimate(graph, 0, 20)
         boosted = make_estimator(
-            "adaptive", 5000, vectorized=True, target_half_width=0.02
+            "adaptive", 5000, target_half_width=0.02
         ).estimate(graph, 0, 20, [(0, 20, 0.95)])
         assert boosted.value > plain.value

@@ -2,13 +2,6 @@
 
 import pytest
 
-# Explicit, reasoned skip instead of silently passing on a numpy-less
-# interpreter: every engine-backed case below names why it was skipped.
-np = pytest.importorskip(
-    "numpy",
-    reason="engine coverage cases need the vectorized engine (numpy)",
-)
-
 from repro.datasets import intel_lab
 from repro.graph import (
     UncertainGraph,

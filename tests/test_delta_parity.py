@@ -22,13 +22,10 @@ evict-and-recompute, which changes cost but never answers.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-
-np = pytest.importorskip(
-    "numpy", reason="delta repair requires the vectorized engine (numpy)"
-)
 
 from repro.api import GraphDelta, ReliabilityQuery, Session, Workload
 from repro.engine import (

@@ -1,12 +1,16 @@
-"""Parity tests: the vectorized engine vs the legacy scalar samplers.
+"""Engine tests: kernel primitives, CSR plans, and estimators vs exact.
 
-Vectorized and scalar paths consume different PRNG streams, so parity is
-asserted within Monte Carlo tolerance at large Z (and against exact
-values where the fixture graphs permit), never bit-for-bit.
+Every sampler runs on the engine, so correctness is checked against the
+exact oracle (:func:`repro.reliability.exact_reliability`) on graphs it
+can solve, with a Hoeffding bound at a 1e-6 false-alarm rate
+(:func:`oracle.assert_close_to_exact`).
 """
+
+from typing import ClassVar
 
 import pytest
 
+from repro.api import Session
 from repro.engine import (
     VectorizedSamplingEngine,
     build_query_plan,
@@ -20,18 +24,30 @@ from repro.engine import (
 from repro.graph import UncertainGraph, assign_uniform, erdos_renyi
 from repro.reliability import (
     BFSSharingIndex,
+    LazyPropagationEstimator,
     MonteCarloEstimator,
     RecursiveStratifiedSampler,
+    estimator_names,
     exact_reliability,
+    make_estimator,
 )
 
 import numpy as np
+
+from oracle import assert_close_to_exact
 
 
 @pytest.fixture
 def medium_graph():
     g = erdos_renyi(30, num_edges=60, seed=3)
     return assign_uniform(g, 0.1, 0.9, seed=4)
+
+
+@pytest.fixture
+def small_graph():
+    """Small enough for exact factoring, large enough to branch."""
+    g = erdos_renyi(10, num_edges=16, seed=3)
+    return assign_uniform(g, 0.2, 0.9, seed=4)
 
 
 class TestKernelPrimitives:
@@ -106,13 +122,13 @@ class TestEngineAgainstExact:
     def test_diamond(self, diamond):
         truth = exact_reliability(diamond, 0, 3)
         est = VectorizedSamplingEngine(seed=1).reliability(diamond, 0, 3, 8000)
-        assert est == pytest.approx(truth, abs=0.03)
+        assert_close_to_exact(est, truth, 8000)
 
     def test_directed(self, directed_diamond):
         truth = exact_reliability(directed_diamond, 0, 3)
         eng = VectorizedSamplingEngine(seed=2)
-        assert eng.reliability(directed_diamond, 0, 3, 8000) == pytest.approx(
-            truth, abs=0.03
+        assert_close_to_exact(
+            eng.reliability(directed_diamond, 0, 3, 8000), truth, 8000
         )
         assert eng.reliability(directed_diamond, 3, 0, 2000) == 0.0
 
@@ -124,109 +140,154 @@ class TestEngineAgainstExact:
     def test_z_not_word_aligned(self, diamond):
         truth = exact_reliability(diamond, 0, 3)
         est = VectorizedSamplingEngine(seed=3).reliability(diamond, 0, 3, 7001)
-        assert est == pytest.approx(truth, abs=0.03)
+        assert_close_to_exact(est, truth, 7001)
 
 
-class TestScalarParity:
-    """Vectorized estimates agree with the legacy scalar path."""
+class TestEstimatorsAgainstExact:
+    """Engine-backed estimators agree with the exact oracle."""
 
-    def test_mc_single_pair(self, medium_graph):
-        vec = MonteCarloEstimator(6000, seed=1, vectorized=True)
-        scalar = MonteCarloEstimator(6000, seed=1, vectorized=False)
-        assert vec.reliability(medium_graph, 0, 29) == pytest.approx(
-            scalar.reliability(medium_graph, 0, 29), abs=0.04
-        )
+    def test_mc_single_pair(self, small_graph):
+        est = MonteCarloEstimator(6000, seed=1).reliability(small_graph, 0, 9)
+        assert_close_to_exact(est, exact_reliability(small_graph, 0, 9), 6000)
 
     def test_mc_reachability_vector(self, diamond):
         vec = MonteCarloEstimator(8000, seed=2).reachability_from(diamond, 0)
-        scalar = MonteCarloEstimator(
-            8000, seed=2, vectorized=False
-        ).reachability_from(diamond, 0)
-        assert set(vec) == set(scalar)
-        for node, value in scalar.items():
-            assert vec[node] == pytest.approx(value, abs=0.04)
+        assert set(vec) == set(diamond.nodes())
+        for node, value in vec.items():
+            assert_close_to_exact(
+                value, exact_reliability(diamond, 0, node), 8000
+            )
 
-    def test_mc_reliability_many(self, medium_graph):
-        pairs = [(0, 10), (0, 20), (5, 25), (7, 7)]
-        vec = MonteCarloEstimator(6000, seed=3).reliability_many(
-            medium_graph, pairs
+    def test_mc_reliability_many(self, small_graph):
+        pairs = [(0, 9), (0, 5), (3, 8), (7, 7)]
+        values = MonteCarloEstimator(6000, seed=3).reliability_many(
+            small_graph, pairs
         )
-        scalar = MonteCarloEstimator(
-            6000, seed=4, vectorized=False
-        ).reliability_many(medium_graph, pairs)
-        assert len(vec) == len(pairs)
-        assert vec[3] == scalar[3] == 1.0  # s == t
-        for a, b in zip(vec, scalar, strict=True):
-            assert a == pytest.approx(b, abs=0.05)
+        assert len(values) == len(pairs)
+        assert values[3] == 1.0  # s == t
+        for (s, t), value in zip(pairs, values, strict=True):
+            assert_close_to_exact(
+                value, exact_reliability(small_graph, s, t), 6000
+            )
 
     def test_mc_multi_source(self, diamond):
         vec = MonteCarloEstimator(8000, seed=5).multi_source_reachability(
             diamond, [0, 3]
         )
-        scalar = MonteCarloEstimator(
-            8000, seed=6, vectorized=False
-        ).multi_source_reachability(diamond, [0, 3])
         assert vec[0] == vec[3] == 1.0
-        for node, value in scalar.items():
-            assert vec[node] == pytest.approx(value, abs=0.04)
+        # "Reached from 0 or 3" is reachability from a virtual source
+        # tied to both by certain overlay edges.
+        hub = [(-1, 0, 1.0), (-1, 3, 1.0)]
+        for node in (1, 2):
+            assert_close_to_exact(
+                vec[node], exact_reliability(diamond, -1, node, hub), 8000
+            )
 
-    def test_rss_parity(self, medium_graph):
-        truth = MonteCarloEstimator(20000, seed=99).reliability(
-            medium_graph, 0, 29
+    def test_rss_single_pair(self, small_graph):
+        est = RecursiveStratifiedSampler(1000, seed=1).reliability(
+            small_graph, 0, 9
         )
-        vec = RecursiveStratifiedSampler(1000, seed=1, vectorized=True)
-        scalar = RecursiveStratifiedSampler(1000, seed=1, vectorized=False)
-        assert vec.reliability(medium_graph, 0, 29) == pytest.approx(
-            truth, abs=0.05
-        )
-        assert vec.reliability(medium_graph, 0, 29) == pytest.approx(
-            scalar.reliability(medium_graph, 0, 29), abs=0.05
-        )
+        assert_close_to_exact(est, exact_reliability(small_graph, 0, 9), 1000)
 
-    def test_rss_reachability_parity(self, diamond):
-        vec = RecursiveStratifiedSampler(
-            2000, seed=2, vectorized=True
-        ).reachability_from(diamond, 0)
+    def test_rss_reachability_vector(self, diamond):
+        vec = RecursiveStratifiedSampler(2000, seed=2).reachability_from(
+            diamond, 0
+        )
         for node in (1, 2, 3):
-            truth = exact_reliability(diamond, 0, node)
-            assert vec[node] == pytest.approx(truth, abs=0.05)
+            assert_close_to_exact(
+                vec[node], exact_reliability(diamond, 0, node), 2000
+            )
 
-    def test_bfs_sharing_parity(self, diamond):
-        truth = exact_reliability(diamond, 0, 3)
-        vec = BFSSharingIndex(diamond, num_samples=8000, seed=1)
-        scalar = BFSSharingIndex(
-            diamond, num_samples=8000, seed=1, vectorized=False
-        )
-        assert vec.reliability(diamond, 0, 3) == pytest.approx(truth, abs=0.03)
-        assert vec.reliability(diamond, 0, 3) == pytest.approx(
-            scalar.reliability(diamond, 0, 3), abs=0.04
+    def test_bfs_sharing(self, diamond):
+        index = BFSSharingIndex(diamond, num_samples=8000, seed=1)
+        assert_close_to_exact(
+            index.reliability(diamond, 0, 3),
+            exact_reliability(diamond, 0, 3),
+            8000,
         )
 
     def test_bfs_sharing_node_added_after_build(self, diamond):
         # Nodes added after the snapshot are isolated in every stored
-        # world; both paths must degrade gracefully, not crash.
-        vec = BFSSharingIndex(diamond, num_samples=100, seed=3)
-        scalar = BFSSharingIndex(
-            diamond, num_samples=100, seed=3, vectorized=False
-        )
+        # world; queries must degrade gracefully, not crash.
+        index = BFSSharingIndex(diamond, num_samples=100, seed=3)
         diamond.add_node(7)
-        for index in (vec, scalar):
-            assert index.reliability(diamond, 7, 3) == 0.0
-            assert index.reliability(diamond, 0, 7) == 0.0
-            assert index.reachability_from(diamond, 7) == {7: 1.0}
-            assert index.pair_reliabilities(diamond, [(7, 3), (0, 7)]) == {
-                (7, 3): 0.0,
-                (0, 7): 0.0,
-            }
+        assert index.reliability(diamond, 7, 3) == 0.0
+        assert index.reliability(diamond, 0, 7) == 0.0
+        assert index.reachability_from(diamond, 7) == {7: 1.0}
+        assert index.pair_reliabilities(diamond, [(7, 3), (0, 7)]) == {
+            (7, 3): 0.0,
+            (0, 7): 0.0,
+        }
+
+    @pytest.mark.parametrize("method, args", [
+        ("reliability", (0, 9)),
+        ("reliability_many", ([(0, 9), (3, 8), (3, 3)],)),
+        ("pair_reliabilities", ([(0, 9), (3, 8)],)),
+        ("reachability_from", (0,)),
+        ("reachability_to", (9,)),
+        ("multi_source_reachability", ([0, 3],)),
+    ])
+    def test_lazy_is_mc_bit_for_bit(self, small_graph, method, args):
+        overlay = [(0, 9, 0.3)]
+        mc = MonteCarloEstimator(500, seed=4)
+        lazy = LazyPropagationEstimator(500, seed=4)
+        for extra in (None, overlay):  # second call: advanced streams
+            assert getattr(lazy, method)(small_graph, *args, extra) == (
+                getattr(mc, method)(small_graph, *args, extra)
+            )
+
+
+class TestOverlayOnlyEndpoints:
+    """An endpoint named only by ``extra_edges`` is a node on every
+    entry point: the overlay acts as if added to the graph."""
+
+    GRAPH_EDGES: ClassVar = [(0, 1, 0.5)]
+    OVERLAY: ClassVar = [(1, 99, 1.0)]
+    SAMPLES = 2000
+
+    def graph(self):
+        return UncertainGraph.from_edges(self.GRAPH_EDGES)
+
+    def test_exact(self):
+        assert exact_reliability(self.graph(), 0, 99, self.OVERLAY) == 0.5
+
+    @pytest.mark.parametrize("name", sorted(estimator_names()))
+    def test_registry_estimators(self, name):
+        g = self.graph()
+        truth = exact_reliability(g, 0, 99, self.OVERLAY)
+        single = make_estimator(name, self.SAMPLES, seed=1).reliability(
+            g, 0, 99, self.OVERLAY
+        )
+        [many] = make_estimator(name, self.SAMPLES, seed=1).reliability_many(
+            g, [(0, 99)], self.OVERLAY
+        )
+        assert_close_to_exact(single, truth, self.SAMPLES)
+        assert_close_to_exact(many, truth, self.SAMPLES)
+
+    def test_session_evaluate(self):
+        g = self.graph()
+        value = Session(g, seed=1).evaluate(
+            0, 99, self.OVERLAY, samples=self.SAMPLES
+        )
+        assert_close_to_exact(
+            value, exact_reliability(g, 0, 99, self.OVERLAY), self.SAMPLES
+        )
+
+    @pytest.mark.parametrize("name", sorted(estimator_names()))
+    def test_unnamed_endpoint_stays_unreachable(self, name):
+        g = self.graph()
+        est = make_estimator(name, 100, seed=1)
+        assert est.reliability(g, 0, 42, self.OVERLAY) == 0.0
+        assert exact_reliability(g, 0, 42, self.OVERLAY) == 0.0
 
     def test_bfs_sharing_overlay_deterministic(self, diamond):
         index = BFSSharingIndex(diamond, num_samples=2000, seed=2)
         overlay = [(0, 3, 0.5)]
         first = index.reliability(diamond, 0, 3, overlay)
         assert index.reliability(diamond, 0, 3, overlay) == first
-        base = index.reliability(diamond, 0, 3)
-        expected = base + (1 - base) * 0.5
-        assert first == pytest.approx(expected, abs=0.04)
+        # Independent overlay coins: R' = R + (1 - R) * 0.5 in law.
+        truth = exact_reliability(diamond, 0, 3, overlay)
+        assert_close_to_exact(first, truth, 2000)
 
 
 class TestOverlayAndEdgeCases:
@@ -239,7 +300,7 @@ class TestOverlayAndEdgeCases:
         g.add_node(0)
         g.add_node(1)
         est = engine.reliability(g, 0, 1, 8000, [(0, 1, 0.4)])
-        assert est == pytest.approx(0.4, abs=0.03)
+        assert_close_to_exact(est, 0.4, 8000)
 
     def test_overlay_undirected_semantics(self, engine):
         g = UncertainGraph()
@@ -248,7 +309,7 @@ class TestOverlayAndEdgeCases:
         g.add_node(2)
         # Overlay edge (1, 0) must also carry 0 -> 1 traffic.
         est = engine.reliability(g, 0, 2, 8000, [(1, 0, 0.8), (1, 2, 0.8)])
-        assert est == pytest.approx(0.64, abs=0.03)
+        assert_close_to_exact(est, 0.64, 8000)
 
     def test_overlay_through_unknown_node(self, engine):
         g = UncertainGraph()
@@ -256,7 +317,7 @@ class TestOverlayAndEdgeCases:
         g.add_node(1)
         # Node 99 exists only in the overlay but may relay traffic.
         est = engine.reliability(g, 0, 1, 8000, [(0, 99, 0.8), (99, 1, 0.8)])
-        assert est == pytest.approx(0.64, abs=0.03)
+        assert_close_to_exact(est, 0.64, 8000)
 
     def test_source_equals_target(self, engine, diamond):
         assert engine.reliability(diamond, 1, 1, 10) == 1.0
@@ -295,17 +356,10 @@ class TestOverlayAndEdgeCases:
         with_edge = engine.reliability_many(diamond, pairs, 8000, [(0, 3, 1.0)])
         assert with_edge[0] == 1.0  # certain overlay edge closes the pair
         without = engine.reliability_many(diamond, pairs, 8000)
-        assert without[0] == pytest.approx(
-            exact_reliability(diamond, 0, 3), abs=0.03
-        )
+        assert_close_to_exact(without[0], exact_reliability(diamond, 0, 3), 8000)
 
 
-class TestEstimatorFlagPlumbing:
-    def test_vectorized_flag_exposed(self):
-        assert MonteCarloEstimator(10).vectorized is True
-        assert MonteCarloEstimator(10, vectorized=False).vectorized is False
-        assert RecursiveStratifiedSampler(10, vectorized=False).vectorized is False
-
+class TestFacade:
     def test_facade_reliability_many(self, diamond):
         from repro.core.facade import ReliabilityMaximizer
 
@@ -313,9 +367,7 @@ class TestEstimatorFlagPlumbing:
         pairs = [(0, 3), (0, 1)]
         values = solver.reliability_many(diamond, pairs)
         assert len(values) == 2
-        assert values[0] == pytest.approx(
-            exact_reliability(diamond, 0, 3), abs=0.03
-        )
+        assert_close_to_exact(values[0], exact_reliability(diamond, 0, 3), 6000)
 
 
 class TestMultiSourceFusedSweep:

@@ -27,8 +27,8 @@ from repro.engine import (
     popcount,
     sample_worlds,
 )
-from repro.reliability import make_estimator
-from repro.baselines import hill_climbing, individual_top_k
+from repro.reliability import ExactEstimator, make_estimator
+from repro.baselines import hill_climbing, individual_top_k, selection_kernel_for
 
 Z = 192  # deliberately not a multiple of 64: pad bits must stay clean
 SEED = 13
@@ -144,29 +144,21 @@ class TestGainIdentity:
         """Two certain chains, candidates [(2, 3), (3, 2)]: one
         undirected edge in two orientations.  The kernel ties exactly
         (canonical coin rows) and must keep the lowest index on *every*
-        seed — the scalar loop's estimates for the two orientations
-        come from an advancing stream, so only the kernel makes this
-        tie deterministic under sampling noise; with certain candidates
-        (p=1.0, exact scalar estimates) both paths must agree."""
-        for seed in range(6):
-            g = UncertainGraph()
-            for u, v in ((0, 1), (1, 2), (3, 4), (4, 5)):
-                g.add_edge(u, v, 1.0)
-            batched = hill_climbing(
-                g, 0, 5, 1, [(2, 3), (3, 2)], ZETA,
-                make_estimator("mc", 256, seed=seed),
+        seed, like the per-candidate loop over exact estimates."""
+        g = UncertainGraph()
+        for u, v in ((0, 1), (1, 2), (3, 4), (4, 5)):
+            g.add_edge(u, v, 1.0)
+        for prob_model in (ZETA, fixed_new_edge_probability(1.0)):
+            exact = hill_climbing(
+                g, 0, 5, 1, [(2, 3), (3, 2)], prob_model, ExactEstimator(),
             )
-            assert batched == [(2, 3, 0.5)]
-            certain = fixed_new_edge_probability(1.0)
-            scalar = hill_climbing(
-                g, 0, 5, 1, [(2, 3), (3, 2)], certain,
-                make_estimator("mc", 256, seed=seed), vectorized=False,
-            )
-            vectorized = hill_climbing(
-                g, 0, 5, 1, [(2, 3), (3, 2)], certain,
-                make_estimator("mc", 256, seed=seed),
-            )
-            assert scalar == vectorized == [(2, 3, 1.0)]
+            assert [(u, v) for u, v, _ in exact] == [(2, 3)]
+            for seed in range(6):
+                batched = hill_climbing(
+                    g, 0, 5, 1, [(2, 3), (3, 2)], prob_model,
+                    make_estimator("mc", 256, seed=seed),
+                )
+                assert batched == exact
 
     def test_gains_nonnegative_and_degenerate_queries(self):
         graph = build_graph(False)
@@ -235,11 +227,12 @@ class TestGreedySelectMulti:
 
         graph = build_graph(False)
         n = graph.num_nodes
-        for name in ("mc", "rss"):  # kernel path and scalar path
+        # Kernel path, and the per-candidate loop (no selection backend).
+        for estimator in (make_estimator("mc", 64), ExactEstimator()):
             with pytest.raises(ValueError, match="aggregate"):
                 _multi_hill_climbing(
                     graph, [(0, n - 1)], 1, [(0, 5)],
-                    ZETA, make_estimator(name, 64), "sum",
+                    ZETA, estimator, "sum",
                 )
 
 
@@ -292,10 +285,9 @@ class TestSelectionBackend:
             est = make_estimator(name, 123, seed=5)
             assert est.selection_backend() == (123, 5)
 
-    def test_scalar_samplers_do_not(self):
-        for name in ("mc", "lazy", "rss", "adaptive"):
-            est = make_estimator(name, 100, vectorized=False)
-            assert est.selection_backend() is None, name
+    def test_exact_estimator_does_not(self):
+        assert ExactEstimator().selection_backend() is None
+        assert selection_kernel_for(build_graph(False), ExactEstimator()) is None
 
     def test_conditioned_samplers_expose_factory_backend(self):
         """rss / adaptive route selection through the gain kernel via a
@@ -310,29 +302,33 @@ class TestSelectionBackend:
         # plain-batch backends carry no factory
         assert make_estimator("mc", 10).selection_backend().make_batch is None
 
-    def test_vectorized_true_requires_backend(self):
-        graph = build_graph(False)
-        est = make_estimator("rss", 50, vectorized=False)
-        with pytest.raises(ValueError, match="selection"):
-            hill_climbing(
-                graph, 0, 1, 1, [(0, 5)], ZETA, est, vectorized=True
-            )
+    def test_no_backend_runs_per_candidate_loop(self):
+        """An estimator without a selection backend is asked for every
+        candidate's reliability (the per-candidate loop)."""
 
-    def test_vectorized_false_forces_per_candidate_loop(self):
-        """Force-scalar runs the estimator loop even for mc estimators
-        (the benchmark's baseline path)."""
+        class CountingExact(ExactEstimator):
+            calls = 0
+
+            def reliability(self, *args, **kwargs):
+                CountingExact.calls += 1
+                return super().reliability(*args, **kwargs)
+
         graph = UncertainGraph()
         graph.add_edge(0, 1, 0.4)
         graph.add_edge(1, 2, 0.4)
-        est = make_estimator("mc", 400, seed=3)
-        edges = hill_climbing(
-            graph, 0, 2, 1, [(0, 2)], ZETA, est, vectorized=False
-        )
-        assert [(u, v) for u, v, _ in edges] == [(0, 2)]
-        edges = individual_top_k(
-            graph, 0, 2, 1, [(0, 2)], ZETA, est, vectorized=False
-        )
-        assert [(u, v) for u, v, _ in edges] == [(0, 2)]
+        for method in (hill_climbing, individual_top_k):
+            CountingExact.calls = 0
+            edges = method(
+                graph, 0, 2, 1, [(0, 2)], ZETA, CountingExact()
+            )
+            assert [(u, v) for u, v, _ in edges] == [(0, 2)]
+            assert CountingExact.calls >= 1, method.__name__
+
+    def test_explicit_kernel_wins_over_backend(self):
+        graph = build_graph(False)
+        kernel = SelectionGainKernel(graph, Z, seed=SEED)
+        for estimator in (ExactEstimator(), make_estimator("mc", 64)):
+            assert selection_kernel_for(graph, estimator, kernel) is kernel
 
 
 class TestEngineKernel:
@@ -372,10 +368,8 @@ class TestSessionKernel:
         assert rss_kernel.plan is session.plan()[0]
         assert rss_kernel.batch is None
         assert rss_kernel.batch_factory is not None
-        # Scalar estimators still have no kernel.
-        assert session.selection_kernel(
-            make_estimator("rss", 96, vectorized=False)
-        ) is None
+        # Estimators without a selection backend have no kernel.
+        assert session.selection_kernel(ExactEstimator()) is None
 
     def test_session_kernel_selection_matches_fresh_kernel(self):
         from repro.api import Session

@@ -11,18 +11,18 @@ Two contracts from the frontier-gated sweep-engine rework:
   with ``incremental=True`` and ``incremental=False`` are therefore
   identical.
 
-* **Conditioned samplers drive vectorized selection.**  ``rss`` and
+* **Conditioned samplers drive batched selection.**  ``rss`` and
   ``adaptive`` expose factory-carrying selection backends (per-stratum
   and per-block base batches); ``hill_climbing`` / ``individual_top_k``
   auto-route them through the gain kernel, and on fixtures whose greedy
   choices are forced (gains separated far beyond sampling noise) the
-  routed selection equals the scalar per-candidate loop's.
+  routed selection equals the per-candidate loop's over exact estimates.
 """
 
 import numpy as np
 import pytest
 
-from repro.baselines import hill_climbing, individual_top_k
+from repro.baselines import hill_climbing, individual_top_k, selection_kernel_for
 from repro.engine import (
     SelectionGainKernel,
     WorldBatch,
@@ -47,7 +47,7 @@ from repro.graph import (
     erdos_renyi,
     fixed_new_edge_probability,
 )
-from repro.reliability import make_estimator
+from repro.reliability import ExactEstimator, make_estimator
 
 Z = 192  # deliberately not a multiple of 64: pad bits must stay clean
 SEED = 13
@@ -230,10 +230,9 @@ class TestConditionedBackendRouting:
     def test_routed_selection_matches_scalar_loop(self, name, method):
         for label, graph, s, t, k, candidates, probs in forced_fixtures():
             prob_model = lambda u, v, probs=probs: probs[(u, v)]
+            # The per-candidate loop over exact estimates.
             scalar = method(
-                graph, s, t, k, candidates, prob_model,
-                make_estimator(name, 400, seed=SEED, vectorized=False),
-                vectorized=False,
+                graph, s, t, k, candidates, prob_model, ExactEstimator(),
             )
             routed = method(
                 graph, s, t, k, candidates, prob_model,
@@ -242,14 +241,14 @@ class TestConditionedBackendRouting:
             assert scalar == routed, (label, name)
 
     @pytest.mark.parametrize("name", ["rss", "adaptive"])
-    def test_vectorized_true_accepts_conditioned_backends(self, name):
+    def test_conditioned_backends_route_through_kernel(self, name):
         graph = UncertainGraph()
         graph.add_edge(0, 1, 1.0)
         graph.add_edge(2, 3, 1.0)
         est = make_estimator(name, 200, seed=3)
-        edges = hill_climbing(
-            graph, 0, 3, 1, [(1, 2)], ZETA, est, vectorized=True
-        )
+        kernel = selection_kernel_for(graph, est)
+        assert kernel is not None and kernel.batch_factory is not None
+        edges = hill_climbing(graph, 0, 3, 1, [(1, 2)], ZETA, est)
         assert [(u, v) for u, v, _ in edges] == [(1, 2)]
 
     def test_rss_stratified_batch_is_conditioned(self):

@@ -113,8 +113,8 @@ def two_chain_graph():
 class TestGreedyTieBreakParity:
     """The documented tie-break: lowest candidate index on equal gain.
 
-    The scalar greedy keeps the *first* maximum of its scan; the
-    vectorized kernel's argmax (and the top-k stable sort) must match,
+    The per-candidate greedy keeps the *first* maximum of its scan; the
+    batched kernel's argmax (and the top-k stable sort) must match,
     and duplicated candidates must tie exactly on the kernel (they draw
     identical coin rows by construction).
     """
@@ -124,38 +124,29 @@ class TestGreedyTieBreakParity:
     def custom_prob(self, u, v):
         return {(2, 3): 1.0, (0, 5): 0.5, (1, 4): 0.25}[(u, v)]
 
-    def selection_order(self, estimator, **kwargs):
+    def selection_order(self, estimator):
         g = two_chain_graph()
         edges = hill_climbing(
             g, 0, 5, 3, self.CANDIDATES, self.custom_prob, estimator,
-            **kwargs,
         )
         return [(u, v) for u, v, _ in edges]
 
-    def test_scalar_and_vectorized_agree(self):
+    def test_kernel_and_per_candidate_loop_agree(self):
         # Round 1: (2, 3) wins structurally (gain exactly 1.0).  Later
         # rounds: all gains zero -> lowest remaining index, on both
-        # paths, independent of sampling noise.
+        # paths, independent of sampling noise.  ExactEstimator has no
+        # selection backend, so it runs the per-candidate loop.
         expected = [(2, 3), (0, 5), (1, 4)]
-        scalar = self.selection_order(
-            make_estimator("mc", 200, seed=1), vectorized=False
-        )
-        vectorized = self.selection_order(make_estimator("mc", 200, seed=1))
+        kernel = self.selection_order(make_estimator("mc", 200, seed=1))
         exact = self.selection_order(ExactEstimator())
-        assert scalar == vectorized == exact == expected
+        assert kernel == exact == expected
 
     def test_duplicate_candidates_pick_lowest_index(self):
         g = two_chain_graph()
         zeta = fixed_new_edge_probability(1.0)
         candidates = [(2, 3), (2, 3), (2, 3)]
-        for estimator, kwargs in (
-            (ExactEstimator(), {}),
-            (make_estimator("mc", 128, seed=0), {}),
-            (make_estimator("mc", 128, seed=0), {"vectorized": False}),
-        ):
-            edges = hill_climbing(
-                g, 0, 5, 2, candidates, zeta, estimator, **kwargs
-            )
+        for estimator in (ExactEstimator(), make_estimator("mc", 128, seed=0)):
+            edges = hill_climbing(g, 0, 5, 2, candidates, zeta, estimator)
             # All three duplicates tie exactly; rounds pop the lowest
             # index first, so the first two duplicates are selected.
             assert [(u, v) for u, v, _ in edges] == [(2, 3), (2, 3)]
