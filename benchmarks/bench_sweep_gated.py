@@ -2,16 +2,16 @@
 
 Two gates from the sweep-engine rework:
 
-* **Gated multi-source fusion.**  ``batch_reach_multi(gated=True)``
-  gathers only the active ``(arc, source)`` pairs per sweep, so fusing
+* **Gated multi-source fusion.**  ``batch_reach_multi`` gathers only
+  the active ``(arc, source)`` pairs per sweep, so fusing
   ``S`` sources costs ``max`` (not ``sum``) of the per-source sweep
   counts without the old full-width byte blowup.  On sweep-bound graphs
   (high diameter, near-deterministic edges — the paper's road/sensor
   chains) the fused pass must be **>= 3x** faster than per-source
   sweeps at Z=4096 / S=16 on a 1k-node graph; on frontier-dense random
   graphs it must at least break even (the measured crossover that
-  replaced the hard-coded ``_FUSE_MAX_WORDS = 4`` cliff).  All dispatch
-  paths are bit-for-bit identical.
+  replaced the hard-coded ``_FUSE_MAX_WORDS = 4`` cliff).  Every fused
+  mask is bit-for-bit its source's own ``batch_reach``.
 
 * **Incremental selection restarts.**  Greedy rounds resume the
   forward/reverse sweeps from the committed winner's endpoints instead
@@ -79,39 +79,29 @@ def best_of(fn, repeats: int = 3) -> float:
 
 
 def sweep_case(graph, num_samples: int, num_sources: int, repeats: int):
-    """Time per-source vs ungated-fused vs gated-fused; check parity."""
+    """Time per-source vs gated-fused sweeps; check parity."""
     plan = compile_plan(graph)
     batch = sample_worlds(plan, num_samples, np.random.default_rng(9))
     sources = [
         int(x) for x in np.linspace(0, graph.num_nodes - 1, num_sources)
     ]
     singles = [batch_reach(plan, batch, [s]) for s in sources]
-    mismatches = 0
-    for gated in (True, False, None):
-        fused = batch_reach_multi(plan, batch, sources, gated=gated)
-        for i in range(len(sources)):
-            if not np.array_equal(fused[:, i], singles[i]):
-                mismatches += 1
+    fused = batch_reach_multi(plan, batch, sources)
+    mismatches = sum(
+        not np.array_equal(fused[:, i], single)
+        for i, single in enumerate(singles)
+    )
     per_source = best_of(
         lambda: [batch_reach(plan, batch, [s]) for s in sources], repeats
     )
-    gated = best_of(
-        lambda: batch_reach_multi(plan, batch, sources, gated=True), repeats
-    )
-    ungated = best_of(
-        lambda: batch_reach_multi(plan, batch, sources, gated=False), repeats
-    )
+    gated = best_of(lambda: batch_reach_multi(plan, batch, sources), repeats)
     return {
         "num_samples": num_samples,
         "num_words": (num_samples + 63) // 64,
         "num_sources": num_sources,
         "per_source_seconds": per_source,
         "gated_seconds": gated,
-        "ungated_seconds": ungated,
         "gated_speedup": per_source / gated if gated > 0 else float("inf"),
-        "ungated_speedup": (
-            per_source / ungated if ungated > 0 else float("inf")
-        ),
         "parity_mismatches": mismatches,
     }
 
@@ -205,9 +195,7 @@ def run(smoke: bool, json_path: str | None) -> int:
                 f"[{label}] Z={z:5d} W={case['num_words']:3d} S={gate_s}: "
                 f"per-source {case['per_source_seconds'] * 1000:8.1f} ms  "
                 f"gated {case['gated_seconds'] * 1000:8.1f} ms "
-                f"({case['gated_speedup']:5.2f}x)  "
-                f"ungated {case['ungated_seconds'] * 1000:8.1f} ms "
-                f"({case['ungated_speedup']:5.2f}x)"
+                f"({case['gated_speedup']:5.2f}x)"
             )
             if case["parity_mismatches"]:
                 failures.append(

@@ -58,7 +58,6 @@ from ..engine import (
     extract_worlds,
     pair_hit_fractions,
     repair_batch,
-    resolve_fuse_max_words,
     sample_worlds,
     scatter_world_columns,
     world_index_of,
@@ -94,6 +93,14 @@ ProbEdge = Tuple[int, int, float]
 DEFAULT_EVALUATION_SAMPLES = 1000
 DEFAULT_EVALUATION_SEED = 9_999
 
+#: Bound on the per-source reached-fixpoint cache: at most this many
+#: ``(n, W)`` reached matrices across all ``(Z, seed)`` batches,
+#: FIFO-evicted by batch key.  Cached fixpoints make repeat-source
+#: queries sweep-free and are what :meth:`Session.apply_delta` resumes
+#: after a monotone edit instead of re-sweeping; they are bit-identical
+#: to fresh sweeps.
+_MAX_CACHED_REACH = 128
+
 
 class Session:
     """Batched query execution over one uncertain graph.
@@ -121,22 +128,6 @@ class Session:
         ``(Z, seed)`` batches are kept (FIFO eviction), so long-lived
         sessions serving heterogeneous workloads stay bounded in
         memory.
-    max_cached_reach:
-        Bound on the per-source reached-fixpoint cache (``0`` disables
-        it): at most this many ``(n, W)`` reached matrices are kept
-        across all ``(Z, seed)`` batches, FIFO-evicted by batch key.
-        Cached fixpoints make repeat-source queries sweep-free and are
-        what :meth:`apply_delta` resumes after a monotone edit instead
-        of re-sweeping.  Purely a performance knob — cached fixpoints
-        are bit-identical to fresh sweeps.
-    fuse_max_words:
-        Multi-source fusion threshold for batched pair sweeps: distinct
-        sources are fused into frontier-gated multi-source kernel
-        passes while the world-batch row is at most this many words
-        (``None`` -> the measured
-        :data:`repro.engine.batch.DEFAULT_FUSE_MAX_WORDS`, ``0``
-        disables fusion).  Purely a performance knob — results are
-        bit-for-bit identical on every dispatch path.
     store:
         Optional persistent index (:class:`repro.index.IndexStore`).
         World-batch lookup becomes a three-tier path — memory cache →
@@ -191,17 +182,11 @@ class Session:
         l: int = 30,
         h: Optional[int] = None,
         max_cached_batches: int = 8,
-        max_cached_reach: int = 128,
-        fuse_max_words: Optional[int] = None,
         store: Optional["IndexStore"] = None,
         store_breaker: Optional["CircuitBreaker"] = None,
     ) -> None:
         if max_cached_batches < 1:
             raise ValueError("max_cached_batches must be positive")
-        if max_cached_reach < 0:
-            raise ValueError(
-                "max_cached_reach must be >= 0 (0 disables reach caching)"
-            )
         self.graph = graph
         self.seed = seed
         self.store = store
@@ -215,11 +200,6 @@ class Session:
                 from ..index.breaker import CircuitBreaker
                 store_breaker = CircuitBreaker()
             self.store_breaker = store_breaker
-        # Validate eagerly (like max_cached_batches) so a bad knob fails
-        # at construction, not at the first grouped query; None is kept
-        # as-is to track the engine default.
-        resolve_fuse_max_words(fuse_max_words)
-        self.fuse_max_words = fuse_max_words
         self.selection_samples = selection_samples
         self.evaluation_samples = evaluation_samples
         self.evaluation_seed = evaluation_seed
@@ -227,7 +207,6 @@ class Session:
         self.l = l
         self.h = h
         self.max_cached_batches = max_cached_batches
-        self.max_cached_reach = max_cached_reach
         # Registry name of the default selection estimator, when known:
         # maximize queries overriding samples/seed rebuild through it.
         self.estimator_name: Optional[str] = None
@@ -471,28 +450,20 @@ class Session:
             self._worlds.pop(next(iter(self._worlds)))
         self._worlds[key] = (batch, elapsed)
 
-    def _reach_for(
-        self, samples: int, seed: int
-    ) -> Optional[Dict[int, "np.ndarray"]]:
-        """The reach-fixpoint cache for ``(Z, seed)``, or ``None``.
+    def _reach_for(self, samples: int, seed: int) -> Dict[int, "np.ndarray"]:
+        """The reach-fixpoint cache for ``(Z, seed)``.
 
         A cached fixpoint stays valid across world-batch eviction —
         every batch tier rebuilds ``(Z, seed)`` bit-identically — so
         reach entries are bounded separately
-        (:attr:`max_cached_reach`), FIFO by batch key.
+        (:data:`_MAX_CACHED_REACH`), FIFO by batch key.
         """
-        if self.max_cached_reach <= 0:
-            return None
-        key = (samples, seed)
-        states = self._reach.get(key)
-        if states is None:
-            states = self._reach[key] = {}
-        return states
+        return self._reach.setdefault((samples, seed), {})
 
     def _trim_reach(self) -> None:
         """Enforce the reach-cache bound (whole batch keys at a time)."""
         total = sum(len(states) for states in self._reach.values())
-        while total > self.max_cached_reach and self._reach:
+        while total > _MAX_CACHED_REACH and self._reach:
             key = next(iter(self._reach))
             total -= len(self._reach.pop(key))
 
@@ -733,12 +704,10 @@ class Session:
             return SelectionGainKernel(
                 self.graph, samples, seed=seed, plan=plan,
                 batch_factory=factory,
-                fuse_max_words=self.fuse_max_words,
             )
         batch, _, _ = self.world_batch(samples, seed)
         return SelectionGainKernel(
             self.graph, samples, seed=seed, plan=plan, batch=batch,
-            fuse_max_words=self.fuse_max_words,
         )
 
     # ------------------------------------------------------------------
@@ -844,43 +813,8 @@ class Session:
         all_pairs: List[Pair] = []
         for _, query in members:
             all_pairs.extend(query.pairs)
-
-        cached_values: Dict[Pair, float] = {}
-        start = time.perf_counter()
-        if self.store is not None:
-            cached_values = self._store_get_results(
-                name, all_pairs, samples, seed
-            )
-        missing = [
-            pair for pair in dict.fromkeys(all_pairs)
-            if pair not in cached_values
-        ]
-        lookup_s = time.perf_counter() - start
-
-        compile_s = sample_s = 0.0
-        world_source: Optional[str] = None
-        values: Dict[Pair, float] = dict(cached_values)
-        if missing:
-            plan, compile_s = self.plan()
-            batch, sample_s, world_source = self.world_batch(samples, seed)
-            start = time.perf_counter()
-            fresh = pair_hit_fractions(
-                plan, batch, missing, samples,
-                fuse_max_words=self.fuse_max_words,
-                reach_cache=self._reach_for(samples, seed),
-            )
-            self._trim_reach()
-            solve_s = lookup_s + time.perf_counter() - start
-            values.update(fresh)
-            if self.store is not None:
-                self._store_put_results(name, fresh, samples, seed)
-        else:
-            solve_s = lookup_s
-
-        timings = Timings(
-            compile_seconds=compile_s,
-            sample_seconds=sample_s,
-            solve_seconds=solve_s,
+        values, cached_values, world_source, timings = self._shared_values(
+            name, all_pairs, samples, seed
         )
         batch_was_cached = world_source in ("memory", "store")
         for index, query in members:
@@ -908,6 +842,49 @@ class Session:
                     cache_misses=cache_misses,
                 ),
             )
+
+    def _shared_values(
+        self, name: str, pairs: Sequence[Pair], samples: int, seed: int
+    ) -> Tuple[Dict[Pair, float], Dict[Pair, float], Optional[str], Timings]:
+        """``(values, cached, world_source, timings)`` for shared pairs.
+
+        Pairs the store's result cache holds under ``(name, Z, seed)``
+        come back in ``cached`` and skip the sweep.  The rest go through
+        one ``pair_hit_fractions`` call over the session's plan, world
+        batch and reach fixpoints, and are written back to the store.
+        ``world_source`` is ``None`` when nothing was swept: a fully
+        cached set of pairs never touches a plan or a world batch.
+        """
+        cached: Dict[Pair, float] = {}
+        start = time.perf_counter()
+        if self.store is not None:
+            cached = self._store_get_results(name, pairs, samples, seed)
+        missing = [
+            pair for pair in dict.fromkeys(pairs) if pair not in cached
+        ]
+        solve_s = time.perf_counter() - start
+        compile_s = sample_s = 0.0
+        world_source: Optional[str] = None
+        values = dict(cached)
+        if missing:
+            plan, compile_s = self.plan()
+            batch, sample_s, world_source = self.world_batch(samples, seed)
+            start = time.perf_counter()
+            fresh = pair_hit_fractions(
+                plan, batch, missing, samples,
+                reach_cache=self._reach_for(samples, seed),
+            )
+            self._trim_reach()
+            solve_s += time.perf_counter() - start
+            values.update(fresh)
+            if self.store is not None:
+                self._store_put_results(name, fresh, samples, seed)
+        timings = Timings(
+            compile_seconds=compile_s,
+            sample_seconds=sample_s,
+            solve_seconds=solve_s,
+        )
+        return values, cached, world_source, timings
 
     def _run_individual(
         self,
@@ -1006,25 +983,7 @@ class Session:
             # Overlay-free evaluations share the "mc" result-cache
             # namespace with mc reliability queries: both are the same
             # deterministic hit-fraction over the same (Z, seed) batch.
-            self._sync_version()
-            values: Dict[Pair, float] = {}
-            if self.store is not None:
-                values = self._store_get_results("mc", pairs, samples, seed)
-            missing = [
-                pair for pair in dict.fromkeys(pairs) if pair not in values
-            ]
-            if missing:
-                plan, _ = self.plan()
-                batch, _, _ = self.world_batch(samples, seed)
-                fresh = pair_hit_fractions(
-                    plan, batch, missing, samples,
-                    fuse_max_words=self.fuse_max_words,
-                    reach_cache=self._reach_for(samples, seed),
-                )
-                self._trim_reach()
-                values.update(fresh)
-                if self.store is not None:
-                    self._store_put_results("mc", fresh, samples, seed)
+            values, _, _, _ = self._shared_values("mc", pairs, samples, seed)
             return [values[pair] for pair in pairs]
         estimator = make_estimator("mc", samples, seed=seed)
         return estimator.reliability_many(

@@ -34,9 +34,10 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import math
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence
 
 from . import datasets
 from .api import MaximizeQuery, ReliabilityQuery, Session, Workload
@@ -51,12 +52,46 @@ def _load_graph(args: argparse.Namespace) -> UncertainGraph:
     return datasets.load(args.dataset, num_nodes=args.nodes, seed=args.seed)
 
 
-def _sample_count(text: str) -> int:
-    """``type=`` of every sample-budget flag: an integer ``Z >= 1``."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _bounded(
+    convert: Callable[[str], Any],
+    low: float,
+    high: float = math.inf,
+    low_open: bool = False,
+) -> Callable[[str], Any]:
+    """``type=`` for a numeric flag: ``convert(text)`` within bounds.
+
+    ``low`` is inclusive unless ``low_open``; ``high`` is inclusive.
+    Malformed and out-of-range values (NaN included) become argparse
+    usage errors, exit 2, instead of ValueErrors from the query layer.
+    """
+    interval = (
+        f"{'(' if low_open else '['}{low}, {high}"
+        f"{')' if high == math.inf else ']'}"
+    )
+
+    def parse(text: str) -> Any:
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected {convert.__name__}, got {text!r}"
+            ) from None
+        above_low = value > low if low_open else value >= low
+        if not (above_low and value <= high):
+            raise argparse.ArgumentTypeError(
+                f"must be in {interval}, got {text}"
+            )
+        return value
+
+    return parse
+
+
+#: Shared numeric flag types: sample budgets, ``-k`` and ``-l`` are
+#: counts >= 1; seeds feed numpy generators, which reject negatives;
+#: ``--zeta`` feeds the fixed new-edge model, which needs ``0 < zeta``.
+_COUNT = _bounded(int, 1)
+_SEED = _bounded(int, 0)
+_ZETA = _bounded(float, 0.0, 1.0, low_open=True)
 
 
 def _add_graph_arguments(parser: argparse.ArgumentParser) -> None:
@@ -72,7 +107,7 @@ def _add_graph_arguments(parser: argparse.ArgumentParser) -> None:
         "--nodes", type=int, default=None,
         help="override the dataset's node count",
     )
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_SEED, default=0)
 
 
 def cmd_datasets(args: argparse.Namespace) -> int:
@@ -199,7 +234,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         estimator=args.estimator,
         selection_samples=args.samples,
         evaluation_samples=args.evaluation_samples,
-        fuse_max_words=args.fuse_max_words,
         r=args.r,
         l=args.l,
     )
@@ -409,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_data.add_argument("name", nargs="?", choices=datasets.names())
     p_data.add_argument("--nodes", type=int, default=None)
-    p_data.add_argument("--seed", type=int, default=0)
+    p_data.add_argument("--seed", type=_SEED, default=0)
     p_data.set_defaults(func=cmd_datasets)
 
     p_rel = subparsers.add_parser(
@@ -422,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="target node(s); several targets share one world batch",
     )
     p_rel.add_argument("--estimator", choices=estimator_names(), default="mc")
-    p_rel.add_argument("--samples", type=_sample_count, default=1000)
+    p_rel.add_argument("--samples", type=_COUNT, default=1000)
     p_rel.add_argument(
         "--bounds", action="store_true",
         help="also print certified lower/upper bounds",
@@ -439,15 +473,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_arguments(p_max)
     p_max.add_argument("--source", type=int, required=True)
     p_max.add_argument("--target", type=int, required=True)
-    p_max.add_argument("-k", type=int, default=5, help="edge budget")
-    p_max.add_argument("--zeta", type=float, default=0.5)
+    p_max.add_argument("-k", type=_COUNT, default=5, help="edge budget")
+    p_max.add_argument("--zeta", type=_ZETA, default=0.5)
     p_max.add_argument("--method", choices=METHODS, default="be")
     p_max.add_argument("--estimator", choices=estimator_names(), default="rss")
-    p_max.add_argument("--samples", type=_sample_count, default=250)
-    p_max.add_argument("--evaluation-samples", type=_sample_count, default=1000)
+    p_max.add_argument("--samples", type=_COUNT, default=250)
+    p_max.add_argument("--evaluation-samples", type=_COUNT, default=1000)
     p_max.add_argument("-r", type=int, default=100,
                        help="relevant nodes per side (Algorithm 4)")
-    p_max.add_argument("-l", type=int, default=30,
+    p_max.add_argument("-l", type=_COUNT, default=30,
                        help="number of most reliable paths")
     p_max.add_argument("--h", type=int, default=None,
                        help="hop constraint for new edges")
@@ -459,8 +493,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_arguments(p_mrp)
     p_mrp.add_argument("--source", type=int, required=True)
     p_mrp.add_argument("--target", type=int, required=True)
-    p_mrp.add_argument("-k", type=int, default=3)
-    p_mrp.add_argument("--zeta", type=float, default=0.5)
+    p_mrp.add_argument("-k", type=_COUNT, default=3)
+    p_mrp.add_argument("--zeta", type=_ZETA, default=0.5)
     p_mrp.add_argument("--h", type=int, default=None)
     p_mrp.set_defaults(func=cmd_mrp)
 
@@ -505,15 +539,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--estimator", choices=estimator_names(), default="rss",
         help="selection estimator for /maximize queries",
     )
-    p_serve.add_argument("--samples", type=_sample_count, default=250,
+    p_serve.add_argument("--samples", type=_COUNT, default=250,
                          help="selection-estimator sample budget")
-    p_serve.add_argument("--evaluation-samples", type=_sample_count, default=1000)
-    p_serve.add_argument(
-        "--fuse-max-words", type=int, default=None,
-        help="engine dispatch knob: fuse multi-source sweeps while the "
-             "world-batch row is at most this many uint64 words "
-             "(0 disables fusion; default: measured engine setting)",
-    )
+    p_serve.add_argument("--evaluation-samples", type=_COUNT, default=1000)
     p_serve.add_argument(
         "--store", default=None, metavar="DIR",
         help="attach a persistent reliability index at this directory "
@@ -521,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument("-r", type=int, default=100,
                          help="relevant nodes per side (Algorithm 4)")
-    p_serve.add_argument("-l", type=int, default=30,
+    p_serve.add_argument("-l", type=_COUNT, default=30,
                          help="number of most reliable paths")
     p_serve.set_defaults(func=cmd_serve)
 
@@ -537,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--store", required=True, metavar="DIR",
                          help="store directory (created if absent)")
     p_build.add_argument(
-        "--samples", type=_sample_count, nargs="+", default=[1000],
+        "--samples", type=_COUNT, nargs="+", default=[1000],
         metavar="Z", help="world-batch sizes to pre-sample (one batch each)",
     )
     p_build.set_defaults(func=cmd_index_build)

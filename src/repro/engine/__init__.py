@@ -18,7 +18,6 @@ from .csr import (
     extend_with_overlay,
 )
 from .kernel import (
-    GATED_MIN_WORDS,
     EdgeChange,
     WorldBatch,
     allocate_proportional,
@@ -38,6 +37,7 @@ from .kernel import (
     num_words,
     pack_bool_matrix,
     popcount,
+    reach_each,
     repair_batch,
     sample_worlds,
     sample_worlds_keyed,
@@ -49,11 +49,9 @@ from .kernel import (
     world_index_of,
 )
 from .batch import (
-    DEFAULT_FUSE_MAX_WORDS,
     VectorizedSamplingEngine,
     pair_hit_fractions,
     reach_counts_dict,
-    resolve_fuse_max_words,
 )
 from .selection import SelectionGainKernel
 
@@ -64,7 +62,6 @@ __all__ = [
     "compile_plan",
     "compile_reverse_plan",
     "extend_with_overlay",
-    "GATED_MIN_WORDS",
     "EdgeChange",
     "WorldBatch",
     "allocate_proportional",
@@ -84,6 +81,7 @@ __all__ = [
     "num_words",
     "pack_bool_matrix",
     "popcount",
+    "reach_each",
     "repair_batch",
     "sample_worlds",
     "sample_worlds_keyed",
@@ -93,10 +91,8 @@ __all__ = [
     "unpack_word_row",
     "valid_sample_mask",
     "world_index_of",
-    "DEFAULT_FUSE_MAX_WORDS",
     "VectorizedSamplingEngine",
     "pair_hit_fractions",
     "reach_counts_dict",
-    "resolve_fuse_max_words",
     "SelectionGainKernel",
 ]

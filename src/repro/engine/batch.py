@@ -26,44 +26,13 @@ from .csr import ProbEdge, QueryPlan, build_query_plan
 from .kernel import (
     WorldBatch,
     batch_reach,
-    batch_reach_multi,
     hit_fraction,
     popcount,
+    reach_each,
     sample_worlds,
 )
 
 Pair = Tuple[int, int]
-
-#: Fuse multi-source sweeps while each world batch row is at most this
-#: many words.  The frontier-gated fused sweep
-#: (:func:`repro.engine.kernel.batch_reach_multi`) does work
-#: proportional to the *active* (arc, source) frontier, so — unlike the
-#: old full-width fusion, whose hard ``_FUSE_MAX_WORDS = 4`` cliff this
-#: knob replaces — fusion keeps winning on wide batches.  Measured by
-#: ``benchmarks/bench_sweep_gated.py`` at S=16 on 1k-node graphs, W=1
-#: (Z=64) through W=64 (Z=4096): 3.2-7.9x over per-source sweeps on
-#: sweep-bound topologies (high-reliability ring) and 1.1-1.6x on a
-#: frontier-dense random graph — no crossover back to per-source
-#: anywhere in the measured range.  The default therefore only stops
-#: fusing where the fused state (S * W * n words) would dwarf the
-#: memory-budget chunking below; per-query overrides go through the
-#: ``fuse_max_words`` arguments on :func:`pair_hit_fractions`,
-#: :class:`VectorizedSamplingEngine` and :class:`repro.api.Session`
-#: (``0`` disables fusion, ``None`` means this default).
-DEFAULT_FUSE_MAX_WORDS = 1024
-
-#: Word budget of one fused pass (S * W * num_nodes reached words);
-#: 4M words = 32 MB.  Larger fused groups are chunked.
-_MULTI_SOURCE_WORD_BUDGET = 4_000_000
-
-
-def resolve_fuse_max_words(fuse_max_words: Optional[int]) -> int:
-    """``None`` -> the measured default; negatives are rejected."""
-    if fuse_max_words is None:
-        return DEFAULT_FUSE_MAX_WORDS
-    if fuse_max_words < 0:
-        raise ValueError("fuse_max_words must be >= 0 (0 disables fusion)")
-    return fuse_max_words
 
 
 def pair_hit_fractions(
@@ -71,18 +40,16 @@ def pair_hit_fractions(
     batch: WorldBatch,
     pairs: Sequence[Pair],
     num_samples: int,
-    fuse_max_words: Optional[int] = None,
     reach_cache: Optional[Dict[int, "np.ndarray"]] = None,
 ) -> Dict[Pair, float]:
     """Answer every (s, t) pair inside one shared world batch.
 
     Pairs are grouped by source so each distinct source costs one batch
-    BFS sweep; multi-source groups are fused into frontier-gated
-    multi-source kernel passes (:func:`batch_reach_multi`) while the
-    batch row stays within ``fuse_max_words`` words (``None`` -> the
-    measured :data:`DEFAULT_FUSE_MAX_WORDS`, ``0`` -> never fuse).
-    ``s == t`` pairs are 1.0 and endpoints unknown to the plan are 0.0
-    (matching the single-pair estimators' semantics).
+    BFS sweep, and the distinct sources are swept together by
+    :func:`~repro.engine.kernel.reach_each` (frontier-gated fused
+    passes within a memory budget).  ``s == t`` pairs are 1.0 and
+    endpoints unknown to the plan are 0.0 (matching the single-pair
+    estimators' semantics).
 
     ``reach_cache`` maps dense source indices to full ``(n, W)``
     reached-fixpoint matrices over exactly this ``(plan, batch)``:
@@ -94,7 +61,6 @@ def pair_hit_fractions(
     bit-identical to a fresh sweep by the resume contract of
     :func:`~repro.engine.kernel.batch_reach_resume`.
     """
-    fuse_max_words = resolve_fuse_max_words(fuse_max_words)
     by_source: Dict[int, List[Pair]] = {}
     for s, t in pairs:
         by_source.setdefault(s, []).append((s, t))
@@ -113,19 +79,6 @@ def pair_hit_fractions(
         else:
             indexed.append((s, src))
 
-    if batch.num_words <= fuse_max_words and len(indexed) > 1:
-        chunk = max(
-            1,
-            _MULTI_SOURCE_WORD_BUDGET
-            // max(plan.num_nodes * batch.num_words, 1),
-        )
-        groups = [
-            indexed[start:start + chunk]
-            for start in range(0, len(indexed), chunk)
-        ]
-    else:
-        groups = [[entry] for entry in indexed]
-
     def _reduce(s: int, reached_rows: "np.ndarray") -> None:
         for pair in by_source[s]:
             t = pair[1]
@@ -141,23 +94,11 @@ def pair_hit_fractions(
     if reach_cache is not None:
         for s, src in cached_sources:
             _reduce(s, reach_cache[src])
-    for group in groups:
-        if len(group) == 1:
-            s, src = group[0]
-            rows = batch_reach(plan, batch, [src])
-            if reach_cache is not None:
-                reach_cache[src] = rows
-            _reduce(s, rows)
-        else:
-            reached = batch_reach_multi(
-                plan, batch, [src for _, src in group]
-            )
-            for i, (s, src) in enumerate(group):
-                rows = reached[:, i]
-                if reach_cache is not None:
-                    rows = np.ascontiguousarray(rows)
-                    reach_cache[src] = rows
-                _reduce(s, rows)
+    fresh = reach_each(plan, batch, [src for _, src in indexed])
+    for (s, src), rows in zip(indexed, fresh, strict=True):
+        if reach_cache is not None:
+            reach_cache[src] = rows
+        _reduce(s, rows)
     return result
 
 
@@ -193,21 +134,10 @@ class VectorizedSamplingEngine:
         stateful: repeated calls advance the stream, and two engines
         built with the same seed replay the same estimates for the same
         query sequence.
-    fuse_max_words:
-        Multi-source fusion threshold for pair workloads — fuse while
-        the batch row is at most this many words (``None`` -> the
-        measured :data:`DEFAULT_FUSE_MAX_WORDS`, ``0`` disables
-        fusion).  Purely a performance knob: results are bit-for-bit
-        identical on every dispatch path.
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        fuse_max_words: Optional[int] = None,
-    ) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self.seed = seed
-        self.fuse_max_words = resolve_fuse_max_words(fuse_max_words)
         self._rng = np.random.default_rng(seed)
 
     # ------------------------------------------------------------------
@@ -301,10 +231,7 @@ class VectorizedSamplingEngine:
             return {}
         plan = build_query_plan(graph, extra_edges)
         batch = self.sample_worlds(plan, num_samples)
-        return pair_hit_fractions(
-            plan, batch, pairs, num_samples,
-            fuse_max_words=self.fuse_max_words,
-        )
+        return pair_hit_fractions(plan, batch, pairs, num_samples)
 
     def reliability_many(
         self,

@@ -21,7 +21,7 @@ which keeps every popcount exact without masking.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -783,13 +783,10 @@ def _sweep_fixpoint(
     return reached
 
 
-#: Auto-dispatch threshold for :func:`batch_reach_multi`: gated sweeps
-#: for rows of at least this many words, full-width fusion below.
-#: Measured by ``benchmarks/bench_sweep_gated.py``: at W=1 (Z<=64) the
-#: full-width pass wins (~2.5x vs per-source on frontier-dense graphs)
-#: because one wide gather beats pair bookkeeping, while from W=2 up
-#: the gated pass matches or beats it everywhere measured.
-GATED_MIN_WORDS = 2
+#: Reached-state budget of one fused pass of :func:`reach_each`, in
+#: uint64 words (``S * n * W``); 4M words = 32 MB.  Larger source sets
+#: are swept in several passes.
+_MULTI_SOURCE_WORD_BUDGET = 4_000_000
 
 #: Gated-sweep chunking: at most this many pairs per chunk (measured —
 #: more pairs per call puts ``reduceat`` on its slow
@@ -810,7 +807,6 @@ def batch_reach_multi(
     plan: QueryPlan,
     batch: WorldBatch,
     source_indices: Sequence[int],
-    gated: Optional[bool] = None,
 ) -> np.ndarray:
     """Independent per-source reached-bitmasks in one fused sweep.
 
@@ -821,10 +817,10 @@ def batch_reach_multi(
     the whole workload — the multi-source kernel sharing that makes
     session pair workloads cheap.
 
-    ``gated=True`` is the **frontier-gated** fusion: each sweep gathers
-    only the ``(arc, source)`` pairs whose source-local frontier is
-    active.  The per-source frontier is an ``(S, n)`` bool matrix;
-    indexing its arc-source columns yields an ``(S, A)`` activity mask
+    The fusion is **frontier-gated**: each sweep gathers only the
+    ``(arc, source)`` pairs whose source-local frontier is active.  The
+    per-source frontier is an ``(S, n)`` bool matrix; indexing its
+    arc-source columns yields an ``(S, A)`` activity mask
     whose flat nonzero positions enumerate pairs already sorted by
     ``(source block, arc position)`` — the arc table is
     destination-sorted, so the flat scatter keys ``source * n + dst``
@@ -835,11 +831,9 @@ def batch_reach_multi(
     narrow to wide batches; pairs are processed in cache-sized chunks
     through preallocated gather buffers, and chunks whose scatter keys
     are all distinct (the common case on sparse frontiers) skip
-    ``reduceat`` entirely.  ``gated=False`` keeps the legacy full-width
-    fusion; ``None`` (default) picks by row width
-    (:data:`GATED_MIN_WORDS`).  All three paths are bit-for-bit
-    identical (``benchmarks/bench_sweep_gated.py`` pins this along with
-    the speedups).
+    ``reduceat`` entirely.  Every source's result is bit-for-bit its
+    own :func:`batch_reach` (``benchmarks/bench_sweep_gated.py`` pins
+    this along with the speedup over per-source sweeps).
 
     Returns ``(num_nodes, S, W)``: row ``[v, i]`` is source ``i``'s
     reached-bits for node ``v``.  Unlike :func:`batch_reach` the union
@@ -849,10 +843,6 @@ def batch_reach_multi(
     sources = list(source_indices)
     num_sources = len(sources)
     words = batch.num_words
-    if gated is None:
-        gated = words >= GATED_MIN_WORDS
-    if not gated:
-        return _reach_multi_full_width(plan, batch, sources)
     num_nodes = plan.num_nodes
     # Source-major layout: block i is source i's own (n, W) sweep; the
     # flat (S * n, W) view makes (source, node) pairs single scatter
@@ -931,63 +921,33 @@ def batch_reach_multi(
     return reached.transpose(1, 0, 2)
 
 
-def _reach_multi_full_width(
+def reach_each(
     plan: QueryPlan,
     batch: WorldBatch,
-    sources: List[int],
-) -> np.ndarray:
-    """Legacy ungated fusion: every frontier arc at full ``S * W`` width.
+    source_indices: Sequence[int],
+) -> Iterator[np.ndarray]:
+    """Each source's own reached fixpoint, in source order.
 
-    Kept as the ``gated=False`` branch of :func:`batch_reach_multi` so
-    the dispatch crossover stays measurable
-    (``benchmarks/bench_sweep_gated.py``) and parity-testable.  A
-    frontier arc here is gathered for *all* sources even when only one
-    source's BFS is near it — cheap for narrow batches, byte-hostile
-    for wide ones.
+    The one multi-source sweep path: sources are split into passes of
+    at most :data:`_MULTI_SOURCE_WORD_BUDGET` reached words, a pass of
+    several sources is one frontier-gated :func:`batch_reach_multi`
+    sweep and a lone source runs :func:`batch_reach`.  Yields one
+    C-contiguous ``(num_nodes, W)`` matrix per source, bit-for-bit its
+    ``batch_reach`` fixpoint; a fused pass's matrices are disjoint
+    views of one block, so each can be resumed in place independently
+    (:func:`batch_reach_resume`).
     """
-    num_sources = len(sources)
-    words = batch.num_words
-    reached = np.zeros(
-        (plan.num_nodes, num_sources, words), dtype=np.uint64
-    )
-    for i, src in enumerate(sources):
-        reached[src, i] = batch.valid
-    if plan.arc_src.size == 0 or num_sources == 0:
-        return reached
-
-    flat = reached.reshape(plan.num_nodes, num_sources * words)
-    arc_src = plan.arc_src
-    arc_dst = plan.arc_dst
-    arc_eid = plan.arc_eid
-    alive = batch.alive
-    frontier = np.zeros(plan.num_nodes, dtype=bool)
-    frontier[sources] = True
-    while True:
-        active = np.flatnonzero(frontier[arc_src])
-        if active.size == 0:
-            break
-        # Broadcast each arc's (W,) alive row across the S source
-        # blocks instead of materializing an (E, S*W) tiled copy.
-        contrib = (
-            flat[arc_src[active]].reshape(-1, num_sources, words)
-            & alive[arc_eid[active]][:, None, :]
-        ).reshape(-1, num_sources * words)
-        sub_dst = arc_dst[active]
-        starts = np.flatnonzero(
-            np.concatenate(([True], sub_dst[1:] != sub_dst[:-1]))
-        )
-        agg = np.bitwise_or.reduceat(contrib, starts, axis=0)
-        touched = sub_dst[starts]
-        current = flat[touched]
-        updated = current | agg
-        changed = np.any(updated != current, axis=1)
-        frontier[:] = False
-        if not changed.any():
-            break
-        changed_nodes = touched[changed]
-        flat[changed_nodes] = updated[changed]
-        frontier[changed_nodes] = True
-    return reached
+    sources = list(source_indices)
+    source_words = max(plan.num_nodes * batch.num_words, 1)
+    per_pass = max(1, _MULTI_SOURCE_WORD_BUDGET // source_words)
+    for lo in range(0, len(sources), per_pass):
+        group = sources[lo:lo + per_pass]
+        if len(group) == 1:
+            yield batch_reach(plan, batch, group)
+        else:
+            fused = batch_reach_multi(plan, batch, group)
+            # Back to the source-major (S, n, W) block the sweep filled.
+            yield from fused.transpose(1, 0, 2)
 
 
 def hit_fraction(row: np.ndarray, num_samples: int) -> float:

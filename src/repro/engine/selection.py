@@ -89,7 +89,6 @@ import numpy as np
 
 from ..analysis import sanitize
 from ..graph import UncertainGraph
-from .batch import _MULTI_SOURCE_WORD_BUDGET, resolve_fuse_max_words
 from .csr import (
     ProbEdge,
     QueryPlan,
@@ -99,12 +98,12 @@ from .csr import (
 from .kernel import (
     WorldBatch,
     batch_reach,
-    batch_reach_multi,
     batch_reach_resume,
     coin_base,
     extend_batch,
     keyed_coin_rows,
     popcount,
+    reach_each,
     sample_worlds,
 )
 
@@ -173,12 +172,6 @@ class SelectionGainKernel:
         endpoints (monotone-exact; see the module docstring).
         ``False`` re-sweeps from scratch every round — bit-identical,
         only slower.
-    fuse_max_words:
-        Multi-source fusion threshold for the multi-pair mask sweeps
-        (``None`` -> the measured
-        :data:`repro.engine.batch.DEFAULT_FUSE_MAX_WORDS`, ``0``
-        forces per-source sweeps) — a perf-only knob, results are
-        bit-identical.  Sessions forward their own knob here.
     """
 
     def __init__(
@@ -190,7 +183,6 @@ class SelectionGainKernel:
         batch: Optional[WorldBatch] = None,
         batch_factory: Optional[BatchFactory] = None,
         incremental: bool = True,
-        fuse_max_words: Optional[int] = None,
     ) -> None:
         if num_samples < 1:
             raise ValueError("num_samples must be positive")
@@ -200,7 +192,6 @@ class SelectionGainKernel:
         self.num_samples = int(num_samples)
         self.seed = seed
         self.incremental = incremental
-        self.fuse_max_words = resolve_fuse_max_words(fuse_max_words)
         self.batch_factory = batch_factory
         self.plan = plan if plan is not None else compile_plan(graph)
         if batch is not None:
@@ -402,9 +393,9 @@ class SelectionGainKernel:
     ) -> List[ProbEdge]:
         """Hill climbing on an aggregate of several ``(s, t)`` pairs.
 
-        Round 0 runs one frontier-gated fused multi-source sweep over
-        the distinct sources (:func:`~repro.engine.kernel.batch_reach_multi`)
-        and one over the distinct targets of the reverse plan; every
+        Round 0 sweeps the distinct sources, and the distinct targets
+        of the reverse plan, through the fused multi-source path
+        (:func:`~repro.engine.kernel.reach_each`); every
         candidate's updated per-pair hit counts are then pure bitwise
         ops.  The aggregate (``avg`` / ``min`` / ``max``) is taken over
         the pair axis and the first-max candidate wins.  Later rounds
@@ -662,50 +653,27 @@ class SelectionGainKernel:
     ) -> Tuple[Dict[int, np.ndarray], Dict[int, np.ndarray]]:
         """Forward masks per distinct source, reverse per distinct target.
 
-        Both directions run as one frontier-gated fused multi-source
-        sweep (:func:`~repro.engine.kernel.batch_reach_multi`) — the
-        wide-batch fusion and the selection kernel sharing one code
-        path.  Slices are copied out so each mask can be advanced
-        independently across rounds.
+        Both directions sweep their distinct endpoints through
+        :func:`~repro.engine.kernel.reach_each` — the same fused,
+        memory-chunked path as the session's pair sweeps.  Each mask is
+        its own contiguous matrix, advanced independently across rounds.
         """
-        sources: List[int] = []
-        targets: List[int] = []
+        sources: Dict[int, int] = {}  # endpoint id -> dense index
+        targets: Dict[int, int] = {}
         for s, t in pairs:
-            if plan.node_index(s) is not None and s not in sources:
-                sources.append(s)
-            if plan.node_index(t) is not None and t not in targets:
-                targets.append(t)
-        # Honor the fusion knob (0 -> per-source sweeps) and chunk
-        # fused groups by the reached-state word budget (S * W * n
-        # words per pass), like the session layer's pair sweeps.
-        if batch.num_words > self.fuse_max_words:
-            chunk = 1
-        else:
-            chunk = max(
-                1,
-                _MULTI_SOURCE_WORD_BUDGET
-                // max(plan.num_nodes * batch.num_words, 1),
-            )
+            si, ti = plan.node_index(s), plan.node_index(t)
+            if si is not None:
+                sources.setdefault(s, si)
+            if ti is not None:
+                targets.setdefault(t, ti)
         forward: Dict[int, np.ndarray] = {}
         reverse: Dict[int, np.ndarray] = {}
-        for out, nodes, sweep_plan in (
+        for out, ends, sweep_plan in (
             (forward, sources, plan),
             (reverse, targets, plan.reverse_view()),
         ):
-            for lo in range(0, len(nodes), chunk):
-                group = nodes[lo:lo + chunk]
-                if len(group) == 1:
-                    out[group[0]] = batch_reach(
-                        sweep_plan, batch,
-                        [plan.node_index(group[0])],
-                    )
-                    continue
-                fused = batch_reach_multi(
-                    sweep_plan, batch,
-                    [plan.node_index(n) for n in group],
-                )
-                for i, n in enumerate(group):
-                    out[n] = np.ascontiguousarray(fused[:, i])
+            masks = reach_each(sweep_plan, batch, list(ends.values()))
+            out.update(zip(ends, masks, strict=True))
         return forward, reverse
 
     def _pair_counts(

@@ -193,8 +193,8 @@ class AsyncSession:
         bound.  ``None`` (the default) disables shedding.
     **session_kwargs
         Forwarded to the :class:`~repro.api.Session` constructor when
-        ``target`` is a graph (``seed``, ``estimator``,
-        ``fuse_max_words``, ...).
+        ``target`` is a graph (``seed``, ``estimator``, ``store``,
+        ...).
 
     Notes
     -----

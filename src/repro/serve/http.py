@@ -373,8 +373,8 @@ class ReliabilityServer:
         the bound.
     **session_kwargs
         Forwarded to the :class:`~repro.api.Session` constructor when
-        ``target`` is a graph (``seed``, ``estimator``,
-        ``fuse_max_words``, ...).
+        ``target`` is a graph (``seed``, ``estimator``, ``store``,
+        ...).
 
     Examples
     --------

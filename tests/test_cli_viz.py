@@ -36,17 +36,35 @@ class TestCliDatasets:
     ["serve", "--samples", "0"],
     ["serve", "--evaluation-samples", "x"],
     ["index", "build", "--store", "s", "--samples", "100", "0"],
+    ["datasets", "--seed", "-1"],
+    ["reliability", "--source", "0", "--target", "3", "--seed", "-1"],
+    ["maximize", "--source", "0", "--target", "3", "--seed", "-1"],
+    ["mrp", "--source", "0", "--target", "3", "--seed", "-1"],
+    ["serve", "--seed", "-1"],
+    ["index", "build", "--store", "s", "--seed", "-1"],
+    ["maximize", "--source", "0", "--target", "3", "-k", "0"],
+    ["mrp", "--source", "0", "--target", "3", "-k", "0"],
+    ["maximize", "--source", "0", "--target", "3", "-l", "0"],
+    ["serve", "-l", "0"],
+    ["maximize", "--source", "0", "--target", "3", "--zeta", "1.5"],
+    ["maximize", "--source", "0", "--target", "3", "--zeta", "nan"],
+    # The fixed new-edge model both commands build needs zeta > 0.
+    ["maximize", "--source", "0", "--target", "3", "--zeta", "0"],
+    ["mrp", "--source", "0", "--target", "3", "--zeta", "1.5"],
+    ["mrp", "--source", "0", "--target", "3", "--zeta", "0"],
 ])
-def test_sample_budgets_below_one_are_usage_errors(capsys, edge_file, argv):
-    """Every sample-budget flag rejects Z < 1 (and non-integers) at
-    parse time: an argparse usage error with exit 2, not a ValueError
-    from deep inside the query layer."""
+def test_numeric_flags_out_of_range_are_usage_errors(capsys, edge_file, argv):
+    """Every bounded numeric flag (sample budgets, seeds, -k, -l, zeta)
+    rejects out-of-range and malformed values at parse time: an argparse
+    usage error with exit 2, not a ValueError from deep inside the query
+    layer."""
+    graph = [] if argv[0] == "datasets" else ["--file", edge_file]
     with pytest.raises(SystemExit) as exc:
-        main([*argv, "--file", edge_file])
+        main([*argv, *graph])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "usage:" in err
-    assert "must be at least 1" in err or "invalid _sample_count value" in err
+    assert "must be in" in err or "expected int" in err
 
 
 class TestCliReliability:

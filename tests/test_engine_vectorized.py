@@ -417,42 +417,76 @@ class TestMultiSourceFusedSweep:
         assert int(popcount(reached[1, 0]).sum()) == 0
 
     @pytest.mark.parametrize("z", [64, 256, 1024, 4096])
-    def test_bitwise_parity_across_widths_and_gating(self, medium_graph, z):
-        """Gated, ungated-fused and per-source sweeps agree bit for bit
-        across the full width range (W = 1 .. 64)."""
-        from repro.engine import batch_reach, batch_reach_multi, sample_worlds
+    @pytest.mark.parametrize("per_pass", [1, 2, None])
+    def test_reach_each_matches_per_source_sweeps(
+        self, medium_graph, monkeypatch, z, per_pass
+    ):
+        """reach_each yields each source's own batch_reach fixpoint, in
+        source order, C-contiguous and unaliased, however the word
+        budget splits the sources into passes: one per pass, two per
+        pass, or all in one fused pass (None), at W = 1 .. 64."""
+        import repro.engine.kernel as kernel
+        from repro.engine import batch_reach, reach_each, sample_worlds
 
         plan = compile_plan(medium_graph)
         batch = sample_worlds(plan, z, np.random.default_rng(11))
-        sources = [0, 3, 7, 13, 21, 29]
-        gated = batch_reach_multi(plan, batch, sources, gated=True)
-        ungated = batch_reach_multi(plan, batch, sources, gated=False)
-        auto = batch_reach_multi(plan, batch, sources)
-        for i, src in enumerate(sources):
-            single = batch_reach(plan, batch, [src])
-            assert np.array_equal(gated[:, i], single), (z, src)
-            assert np.array_equal(ungated[:, i], single), (z, src)
-            assert np.array_equal(auto[:, i], single), (z, src)
+        sources = [29, 0, 13, 3, 21, 7]
+        per_pass = per_pass or len(sources)
+        monkeypatch.setattr(
+            kernel, "_MULTI_SOURCE_WORD_BUDGET",
+            per_pass * plan.num_nodes * batch.num_words,
+        )
+        fused_passes = []
+        fused_sweep = kernel.batch_reach_multi
+
+        def spy(plan, batch, group):
+            fused_passes.append(list(group))
+            return fused_sweep(plan, batch, group)
+
+        monkeypatch.setattr(kernel, "batch_reach_multi", spy)
+        masks = list(reach_each(plan, batch, sources))
+        expected = [
+            sources[lo:lo + per_pass]
+            for lo in range(0, len(sources), per_pass)
+        ] if per_pass > 1 else []
+        assert fused_passes == expected
+        assert len(masks) == len(sources)
+        for src, mask in zip(sources, masks, strict=True):
+            assert mask.shape == (plan.num_nodes, batch.num_words)
+            assert mask.flags["C_CONTIGUOUS"]
+            assert np.array_equal(mask, batch_reach(plan, batch, [src])), (
+                z, src,
+            )
+        for i, mask in enumerate(masks):
+            for other in masks[i + 1:]:
+                assert not np.shares_memory(mask, other)
 
     @pytest.mark.parametrize("z", [64, 1000])
-    @pytest.mark.parametrize("fuse_max_words", [0, 1, None])
+    @pytest.mark.parametrize("per_pass", [1, 2, None])
     def test_pair_hit_fractions_same_on_every_dispatch_path(
-        self, medium_graph, z, fuse_max_words
+        self, medium_graph, monkeypatch, z, per_pass
     ):
-        # fuse_max_words=0 forces per-source sweeps, 1 fuses only
-        # single-word batches, None uses the measured default (fused on
-        # both widths here); all paths must agree with independent
+        # The word budget decides how many sources share a fused pass:
+        # one (per-source sweeps), two, or all of them (None, the
+        # default budget here); every split must agree with independent
         # single-pair answers.
+        import repro.engine.kernel as kernel
         from repro.engine import pair_hit_fractions, sample_worlds
 
         plan = compile_plan(medium_graph)
         batch = sample_worlds(plan, z, np.random.default_rng(6))
         pairs = [(0, 10), (7, 20), (13, 5), (0, 25), (2, 2), (0, 999)]
-        values = pair_hit_fractions(
-            plan, batch, pairs, z, fuse_max_words=fuse_max_words
-        )
+        solo = {
+            pair: pair_hit_fractions(plan, batch, [pair], z)[pair]
+            for pair in [(0, 10), (7, 20), (13, 5), (0, 25)]
+        }
+        if per_pass is not None:
+            monkeypatch.setattr(
+                kernel, "_MULTI_SOURCE_WORD_BUDGET",
+                per_pass * plan.num_nodes * batch.num_words,
+            )
+        values = pair_hit_fractions(plan, batch, pairs, z)
         assert values[(2, 2)] == 1.0
         assert values[(0, 999)] == 0.0
-        for pair in [(0, 10), (7, 20), (13, 5), (0, 25)]:
-            solo = pair_hit_fractions(plan, batch, [pair], z)
-            assert values[pair] == solo[pair], (pair, fuse_max_words)
+        for pair, value in solo.items():
+            assert values[pair] == value, (pair, per_pass)

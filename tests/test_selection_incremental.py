@@ -167,23 +167,35 @@ class TestIncrementalMasks:
         )
         assert list(kernel._query_batches) == [(0, n - 1)]
 
-    def test_fuse_max_words_zero_disables_fused_mask_sweeps(self, monkeypatch):
-        import repro.engine.selection as selection_module
+    def test_fused_mask_sweeps_match_one_source_per_pass(self, monkeypatch):
+        import repro.engine.kernel as kernel
 
         graph = build_graph(False, seed=8)
         n = graph.num_nodes
         pairs = [(0, n - 1), (1, n - 2)]
         pool = candidate_pool(n)
+        fused_passes = []
+        fused_sweep = kernel.batch_reach_multi
+
+        def spy(*args):
+            fused_passes.append(args[2])
+            return fused_sweep(*args)
+
+        monkeypatch.setattr(kernel, "batch_reach_multi", spy)
         fused = SelectionGainKernel(graph, Z, seed=SEED).greedy_select_multi(
             pairs, 2, pool
         )
+        # Forward and reverse masks each fuse their two endpoints.
+        assert [len(group) for group in fused_passes] == [2, 2]
+        # A one-word budget leaves room for one source per pass.
+        monkeypatch.setattr(kernel, "_MULTI_SOURCE_WORD_BUDGET", 1)
         monkeypatch.setattr(
-            selection_module, "batch_reach_multi",
-            lambda *a, **kw: pytest.fail("fused sweep despite fuse_max_words=0"),
+            kernel, "batch_reach_multi",
+            lambda *a, **kw: pytest.fail("fused sweep at a one-source budget"),
         )
-        per_source = SelectionGainKernel(
-            graph, Z, seed=SEED, fuse_max_words=0
-        ).greedy_select_multi(pairs, 2, pool)
+        per_source = SelectionGainKernel(graph, Z, seed=SEED).greedy_select_multi(
+            pairs, 2, pool
+        )
         assert fused == per_source
 
     def test_multi_interns_pair_endpoint_via_winner(self):
@@ -306,12 +318,6 @@ class TestConditionedBackendRouting:
         )
         with pytest.raises(ValueError, match="base batch per query"):
             kernel.candidate_rows(0, [(0, 1, 0.5)])
-
-    def test_session_rejects_negative_fuse_max_words(self):
-        from repro.api import Session
-
-        with pytest.raises(ValueError, match="fuse_max_words"):
-            Session(build_graph(False), fuse_max_words=-1)
 
     def test_adaptive_block_batch_respects_cap_and_blocks(self):
         est = make_estimator("adaptive", 500, seed=4)
