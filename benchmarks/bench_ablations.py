@@ -8,9 +8,10 @@
 """
 
 
+from repro.api import MaximizeQuery, Session
 from repro.core import (
-    ReliabilityMaximizer,
     batch_selection,
+    eliminate_search_space,
     select_top_l_paths,
 )
 from repro.graph import fixed_new_edge_probability
@@ -24,7 +25,8 @@ from repro import datasets
 def run_normalization():
     graph = datasets.load("twitter", num_nodes=500, seed=0)
     queries = queries_for(graph, count=3, seed=73)
-    solver = ReliabilityMaximizer(
+    session = Session(
+        graph,
         estimator=RecursiveStratifiedSampler(120, seed=1),
         evaluation_samples=600, r=15, l=15,
     )
@@ -35,7 +37,13 @@ def run_normalization():
     )
     diffs = []
     for s, t in queries:
-        space = solver.candidates(graph, s, t, prob_model)
+        space = eliminate_search_space(
+            graph, s, t,
+            r=session.r,
+            new_edge_prob=prob_model,
+            estimator=session.estimator,
+            h=session.h,
+        )
         path_set = select_top_l_paths(graph, s, t, 15, space.edges)
         norm_edges = batch_selection(
             graph, s, t, 5, path_set,
@@ -45,14 +53,9 @@ def run_normalization():
             graph, s, t, 5, path_set,
             RecursiveStratifiedSampler(120, seed=2), normalize=False,
         )
-        g_norm = (
-            solver.evaluate(graph, s, t, norm_edges)
-            - solver.evaluate(graph, s, t)
-        )
-        g_raw = (
-            solver.evaluate(graph, s, t, raw_edges)
-            - solver.evaluate(graph, s, t)
-        )
+        base = session.evaluate(s, t)
+        g_norm = session.evaluate(s, t, norm_edges) - base
+        g_raw = session.evaluate(s, t, raw_edges) - base
         table.add_row(f"{s}->{t}", g_norm, g_raw)
         diffs.append(g_norm - g_raw)
     table.add_note("normalization is Example 3's divisor: gain / #new edges")
@@ -69,12 +72,12 @@ def run_elimination_stages():
         ["Stage", "Mean candidates in", "Mean candidates out"],
     )
     stage1_in, stage1_out, stage2_out = [], [], []
-    solver = ReliabilityMaximizer(
-        estimator=RecursiveStratifiedSampler(120, seed=4), r=15, l=15,
-    )
+    estimator = RecursiveStratifiedSampler(120, seed=4)
     for s, t in queries:
         total_missing = graph.num_nodes * (graph.num_nodes - 1) // 2
-        space = solver.candidates(graph, s, t, prob_model)
+        space = eliminate_search_space(
+            graph, s, t, r=15, new_edge_prob=prob_model, estimator=estimator,
+        )
         path_set = select_top_l_paths(graph, s, t, 15, space.edges)
         stage1_in.append(total_missing)
         stage1_out.append(len(space.edges))
@@ -115,17 +118,18 @@ def test_random_floor(benchmark):
     def run():
         graph = datasets.load("twitter", num_nodes=500, seed=0)
         queries = queries_for(graph, count=2, seed=83)
-        solver = ReliabilityMaximizer(
+        session = Session(
+            graph,
             estimator=RecursiveStratifiedSampler(120, seed=6),
             evaluation_samples=600, r=15, l=15,
         )
         be_total, random_total = 0.0, 0.0
         for s, t in queries:
-            be_total += solver.maximize(
-                graph, s, t, 5, method="be"
+            be_total += session.maximize(
+                MaximizeQuery(s, t, k=5, method="be")
             ).gain
-            random_total += solver.maximize(
-                graph, s, t, 5, method="random"
+            random_total += session.maximize(
+                MaximizeQuery(s, t, k=5, method="random")
             ).gain
         return be_total, random_total
 

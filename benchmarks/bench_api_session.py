@@ -1,4 +1,4 @@
-"""Benchmark: session-batched workloads vs cold per-call facade queries.
+"""Benchmark: session-batched workloads vs cold per-call estimator queries.
 
 The point of :class:`repro.api.Session` is amortization: an N-query
 workload pays one CSR compilation and one world-sampling pass, and pairs
@@ -13,7 +13,8 @@ also reported; there the sweep cost cannot be shared across sources, so
 the speedup is just the compile+sampling amortization (~2x).
 
 "Cold" means what a fresh process per query would see: the graph's
-cached compilation is dropped before every facade call.
+cached compilation is dropped before every call, and each call builds a
+fresh ``MonteCarloEstimator`` with the session's ``(Z, seed)``.
 
 Usage::
 
@@ -33,8 +34,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.api import Session, Workload  # noqa: E402
-from repro.core import ReliabilityMaximizer  # noqa: E402
 from repro.graph import assign_uniform, erdos_renyi  # noqa: E402
+from repro.reliability import MonteCarloEstimator  # noqa: E402
 
 CSR_CACHE_ATTR = "_engine_csr_cache"
 
@@ -65,17 +66,15 @@ def distinct_pair_queries(graph, count: int):
     return pairs or [(0, n - 1)]
 
 
-def time_cold_facade(graph, pairs, samples: int, seed: int):
-    """N independent facade calls, each paying compile + sampling."""
+def time_cold_estimator(graph, pairs, samples: int, seed: int):
+    """N independent estimator calls, each paying compile + sampling."""
     values = []
     start = time.perf_counter()
     for s, t in pairs:
         if hasattr(graph, CSR_CACHE_ATTR):
             delattr(graph, CSR_CACHE_ATTR)  # a cold process compiles anew
-        solver = ReliabilityMaximizer(
-            evaluation_samples=samples, evaluation_seed=seed
-        )
-        values.append(solver.evaluate(graph, s, t))
+        estimator = MonteCarloEstimator(samples, seed=seed)
+        values.append(estimator.reliability(graph, s, t))
     return time.perf_counter() - start, values
 
 
@@ -91,11 +90,11 @@ def time_session(graph, pairs, samples: int, seed: int):
 
 
 def compare(graph, pairs, samples: int, label: str):
-    cold_s, cold_values = time_cold_facade(graph, pairs, samples, seed=17)
+    cold_s, cold_values = time_cold_estimator(graph, pairs, samples, seed=17)
     session_s, session_values = time_session(graph, pairs, samples, seed=17)
     speedup = cold_s / session_s if session_s > 0 else float("inf")
     print(f"[{label}] {len(pairs)} pair queries")
-    print(f"  cold facade calls: {cold_s * 1000:9.1f} ms "
+    print(f"  cold calls:        {cold_s * 1000:9.1f} ms "
           f"({cold_s * 1000 / len(pairs):.2f} ms/query)")
     print(f"  session workload:  {session_s * 1000:9.1f} ms "
           f"({session_s * 1000 / len(pairs):.2f} ms/query)")
@@ -108,7 +107,7 @@ def compare(graph, pairs, samples: int, label: str):
     return {
         "workload": label,
         "num_queries": len(pairs),
-        "cold_facade_seconds": cold_s,
+        "cold_estimator_seconds": cold_s,
         "session_seconds": session_s,
         "speedup": speedup,
         "value_mismatches": len(mismatches),
@@ -154,7 +153,7 @@ def run(smoke: bool, json_path: str | None) -> int:
         print(f"wrote {json_path}")
 
     # Same seed, same Z, same plan: the session's shared batch must give
-    # bit-for-bit the values the one-off facade evaluations produced.
+    # bit-for-bit the values the one-off estimator calls produced.
     for wl in (block, distinct):
         if wl["value_mismatches"]:
             print(f"FAIL: {wl['value_mismatches']} value mismatches "

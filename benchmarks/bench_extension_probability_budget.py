@@ -9,7 +9,7 @@ multi-edge shortcuts when that shortens the -log p path.
 """
 
 
-from repro.core import ReliabilityMaximizer, improve_mrp_with_probability_budget
+from repro.core import eliminate_search_space, improve_mrp_with_probability_budget
 from repro.graph import fixed_new_edge_probability
 from repro.reliability import RecursiveStratifiedSampler
 from repro.experiments import ResultTable
@@ -24,9 +24,7 @@ MAX_EDGES = 3
 def run():
     graph = datasets.load("lastfm", num_nodes=400, seed=0)
     queries = queries_for(graph, count=2, seed=89)
-    solver = ReliabilityMaximizer(
-        estimator=RecursiveStratifiedSampler(120, seed=1), r=15, l=15,
-    )
+    estimator = RecursiveStratifiedSampler(120, seed=1)
     prob_model = fixed_new_edge_probability(0.5)
     table = ResultTable(
         "Extension: total-probability-budget MRP maximization "
@@ -38,7 +36,10 @@ def run():
     for budget in BUDGETS:
         edges_used, before, after = 0.0, 0.0, 0.0
         for s, t in queries:
-            space = solver.candidates(graph, s, t, prob_model)
+            space = eliminate_search_space(
+                graph, s, t, r=15, new_edge_prob=prob_model,
+                estimator=estimator,
+            )
             solution = improve_mrp_with_probability_budget(
                 graph, s, t, MAX_EDGES, budget,
                 candidates=space.edge_pairs(),

@@ -17,7 +17,8 @@ bridges the weakly-connected region to a dense one — is asserted.
 from repro.datasets import intel_lab
 from repro.graph import fixed_new_edge_probability
 from repro.reliability import RecursiveStratifiedSampler
-from repro.core import ReliabilityMaximizer
+from repro.api import MaximizeQuery, Session
+from repro.core import eliminate_search_space
 from repro.experiments import ResultTable
 
 from _common import save_table
@@ -43,7 +44,8 @@ def run():
     outcomes = []
     # r must span the lab: C(s) and C(t) need to meet in the middle for
     # any candidate pair to satisfy the <= 15 m constraint.
-    solver = ReliabilityMaximizer(
+    session = Session(
+        graph,
         estimator=RecursiveStratifiedSampler(150, seed=5),
         evaluation_samples=1000,
         r=26,
@@ -51,13 +53,19 @@ def run():
     )
     prob_model = fixed_new_edge_probability(zeta)
     for label, s, t in SCENARIOS:
-        space = solver.candidates(graph, s, t, prob_model)
+        space = eliminate_search_space(
+            graph, s, t,
+            r=session.r,
+            new_edge_prob=prob_model,
+            estimator=session.estimator,
+            h=session.h,
+        )
         space.edges = [
             (u, v, p) for u, v, p in space.edges if (u, v) in allowed
         ]
-        solution = solver.maximize(
-            graph, s, t, 3, zeta=zeta, method="be", candidate_space=space
-        )
+        solution = session.maximize(MaximizeQuery(
+            s, t, k=3, zeta=zeta, method="be", candidate_space=space
+        )).solution
         links = ", ".join(f"{u}->{v}" for u, v, _ in solution.edges)
         table.add_row(
             label, solution.base_reliability, solution.new_reliability, links

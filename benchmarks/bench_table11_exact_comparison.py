@@ -15,7 +15,8 @@ from repro.datasets import intel_lab
 from repro.graph import fixed_new_edge_probability
 from repro.reliability import RecursiveStratifiedSampler
 from repro.baselines import exact_solution
-from repro.core import ReliabilityMaximizer
+from repro.api import MaximizeQuery, Session
+from repro.core import eliminate_search_space
 from repro.experiments import ResultTable
 
 from _common import queries_for, save_table
@@ -32,7 +33,8 @@ def run():
 
     # r must span the lab (see Figures 6/7 bench): with a small r the
     # <=15 m filter leaves no candidate at all between C(s) and C(t).
-    solver = ReliabilityMaximizer(
+    session = Session(
+        graph,
         estimator=RecursiveStratifiedSampler(120, seed=1),
         evaluation_samples=800,
         r=26,
@@ -48,7 +50,13 @@ def run():
     sums = {"es": [0.0, 0.0], "ip": [0.0, 0.0], "be": [0.0, 0.0]}
     matches = 0
     for s, t in queries:
-        space = solver.candidates(graph, s, t, prob_model)
+        space = eliminate_search_space(
+            graph, s, t,
+            r=session.r,
+            new_edge_prob=prob_model,
+            estimator=session.estimator,
+            h=session.h,
+        )
         # Physical constraint: only <= 15 m candidate links.
         space.edges = [
             (u, v, p) for u, v, p in space.edges if (u, v) in distance_ok
@@ -59,17 +67,13 @@ def run():
             RecursiveStratifiedSampler(120, seed=2),
         )
         es_time = time.perf_counter() - start
-        es_gain = (
-            solver.evaluate(graph, s, t, es_edges)
-            - solver.evaluate(graph, s, t)
-        )
+        es_gain = session.evaluate(s, t, es_edges) - session.evaluate(s, t)
         sums["es"][0] += es_gain
         sums["es"][1] += es_time
         for method in ("ip", "be"):
-            solution = solver.maximize(
-                graph, s, t, K, zeta=ZETA, method=method,
-                candidate_space=space,
-            )
+            solution = session.maximize(MaximizeQuery(
+                s, t, k=K, zeta=ZETA, method=method, candidate_space=space,
+            )).solution
             sums[method][0] += solution.gain
             sums[method][1] += solution.selection_seconds
             if method == "be":

@@ -13,7 +13,7 @@ Run:  python examples/road_network.py
 
 import numpy as np
 
-from repro.core import ReliabilityMaximizer
+from repro.api import MaximizeQuery, Session
 from repro.graph import UncertainGraph, grid_2d
 from repro.reliability import RecursiveStratifiedSampler, reliability_bounds
 
@@ -49,7 +49,8 @@ def main() -> None:
 
     # New segments only between intersections within 3 blocks (the
     # paper's h-hop physical constraint), each passable with p = 0.8.
-    solver = ReliabilityMaximizer(
+    session = Session(
+        city,
         estimator=RecursiveStratifiedSampler(200, seed=1),
         evaluation_samples=3000,
         r=20,
@@ -57,7 +58,9 @@ def main() -> None:
         h=3,
     )
     for k in (1, 3):
-        solution = solver.maximize(city, depot, customer, k, zeta=0.8)
+        solution = session.maximize(
+            MaximizeQuery(depot, customer, k=k, zeta=0.8)
+        ).solution
         print(f"\nbudget k={k} new segments:")
         print(f"  on-time delivery probability: "
               f"{solution.base_reliability:.3f} -> "

@@ -15,7 +15,8 @@ import sys
 #: CI runs every example with --smoke: same story, smaller numbers.
 SMOKE = "--smoke" in sys.argv
 
-from repro.core import ReliabilityMaximizer
+from repro.api import MaximizeQuery, Session
+from repro.core import eliminate_search_space
 from repro.datasets import intel_lab
 from repro.graph import fixed_new_edge_probability
 from repro.reliability import RecursiveStratifiedSampler
@@ -42,7 +43,8 @@ def main() -> None:
 
     # r spans half the lab so the <= 15 m candidate rule still leaves
     # installable pairs between the two relevant regions.
-    solver = ReliabilityMaximizer(
+    session = Session(
+        graph,
         estimator=RecursiveStratifiedSampler(100 if SMOKE else 200, seed=7),
         evaluation_samples=500 if SMOKE else 2000,
         r=26,
@@ -55,13 +57,19 @@ def main() -> None:
         ("diagonal (bottom strip -> top wall)", 15, 44),
     ]
     for label, s, t in scenarios:
-        space = solver.candidates(graph, s, t, prob_model)
+        space = eliminate_search_space(
+            graph, s, t,
+            r=session.r,
+            new_edge_prob=prob_model,
+            estimator=session.estimator,
+            h=session.h,
+        )
         space.edges = [
             (u, v, p) for u, v, p in space.edges if (u, v) in allowed
         ]
-        solution = solver.maximize(
-            graph, s, t, 3, zeta=zeta, method="be", candidate_space=space
-        )
+        solution = session.maximize(MaximizeQuery(
+            s, t, k=3, zeta=zeta, method="be", candidate_space=space
+        )).solution
         print(f"scenario: {label}")
         print(f"  sensor {s} ({show_region(positions, s)}) -> "
               f"sensor {t} ({show_region(positions, t)})")

@@ -17,13 +17,11 @@ Quickstart
 >>> round(session.reliability(0, target=3, samples=4000).value, 1)
 0.3
 
-(The legacy ``ReliabilityMaximizer`` facade still works as a thin shim
-over a per-call session.)
-
 Subpackages
 -----------
 ``repro.api``
-    Declarative query/session layer: ``Session``, ``Workload``,
+    Declarative query/session layer and the one entry point to
+    Problem 1: ``Session``, ``Workload``,
     ``ReliabilityQuery``/``MaximizeQuery``, structured results.
 ``repro.serve``
     Async serving: request-coalescing ``AsyncSession`` and the
@@ -57,16 +55,20 @@ from .reliability import (
 )
 from .paths import most_reliable_path, top_l_most_reliable_paths
 from .core import (
-    METHODS,
     MultiSolution,
     MultiSourceTargetMaximizer,
-    ReliabilityMaximizer,
-    Solution,
     improve_most_reliable_path,
 )
 from .influence import influence_spread, maximize_targeted_influence
 from .reliability import make_estimator
-from .api import MaximizeQuery, ReliabilityQuery, Session, Workload
+from .api import (
+    METHODS,
+    MaximizeQuery,
+    ReliabilityQuery,
+    Session,
+    Solution,
+    Workload,
+)
 from . import api, baselines, datasets, experiments, graph, influence, paths, queries, reliability
 
 __version__ = "1.0.0"
@@ -84,7 +86,6 @@ __all__ = [
     "METHODS",
     "MultiSolution",
     "MultiSourceTargetMaximizer",
-    "ReliabilityMaximizer",
     "Solution",
     "improve_most_reliable_path",
     "influence_spread",

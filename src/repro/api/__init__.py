@@ -19,21 +19,24 @@ worlds: one CSR compilation, one coin-flip pass, one batch BFS per
 distinct source.  Results carry provenance — estimator, Z, seed,
 shared-world flag, timings.
 
-The legacy entry points (:class:`repro.core.facade.ReliabilityMaximizer`
-and friends) remain as thin shims over this layer.
+This layer is also the one entry point to Problem 1: a
+:class:`MaximizeQuery` runs through :meth:`Session.maximize` (or inside
+a workload) and comes back as a :class:`MaximizeResult` wrapping a
+:class:`Solution`.
 """
 
 from .delta import DeltaReport, GraphDelta
-from .queries import MaximizeQuery, Query, ReliabilityQuery, Workload
+from .queries import METHODS, MaximizeQuery, Query, ReliabilityQuery, Workload
 from .results import (
     MaximizeResult,
     Provenance,
     ReliabilityResult,
+    Solution,
     Timings,
     results_table,
 )
 from .session import Session
-from .maximize import METHODS, dispatch_selection, execute_maximize
+from .maximize import dispatch_selection, execute_maximize
 
 __all__ = [
     "DeltaReport",
@@ -45,6 +48,7 @@ __all__ = [
     "MaximizeResult",
     "Provenance",
     "ReliabilityResult",
+    "Solution",
     "Timings",
     "results_table",
     "Session",

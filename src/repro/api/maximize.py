@@ -1,9 +1,8 @@
 """Execution of :class:`MaximizeQuery` — the paper's full pipeline.
 
-This is the estimate → eliminate → select pipeline that used to live
-inside :meth:`ReliabilityMaximizer.maximize`, lifted to the session
-layer so a workload of maximize queries shares one compiled plan and one
-paired-evaluation world batch.  The legacy facade now delegates here.
+The estimate → eliminate → select pipeline of Problem 1, run at the
+session layer so a workload of maximize queries shares one compiled
+plan and one paired-evaluation world batch.
 """
 
 from __future__ import annotations
@@ -32,9 +31,8 @@ from ..core.search_space import (
 )
 from ..core.selection import batch_selection, individual_path_selection
 from ..core.mrp_improvement import improve_most_reliable_path
-from ..core.facade import METHODS
-from .queries import MaximizeQuery
-from .results import MaximizeResult, Provenance, Timings
+from .queries import METHODS, MaximizeQuery
+from .results import MaximizeResult, Provenance, Solution, Timings
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from .session import Session
@@ -93,8 +91,6 @@ def execute_maximize(
     queries in one shared-world pass; it must equal what
     ``session.evaluate(query.source, query.target)`` would return.
     """
-    from ..core.facade import Solution  # local: facade shims import us
-
     graph = session.graph
     method = query.method
     if method not in METHODS:

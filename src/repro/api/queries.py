@@ -26,6 +26,20 @@ from ..reliability import ReliabilityEstimator, estimator_spec
 
 Pair = Tuple[int, int]
 
+#: Selection methods accepted by :class:`MaximizeQuery`.
+METHODS = (
+    "be",           # path-batch edge selection (the paper's method)
+    "ip",           # individual path-based edge selection
+    "mrp",          # most reliable path improvement (Algorithm 3)
+    "hc",           # hill climbing (Algorithm 1)
+    "topk",         # individual top-k (§3.1)
+    "degree",       # degree-centrality baseline (§3.3)
+    "betweenness",  # betweenness-centrality baseline (§3.3)
+    "eigen",        # eigenvalue-based baseline (Algorithm 2)
+    "random",       # random candidate edges (ablation)
+    "exact",        # exhaustive subset enumeration (Table 11)
+)
+
 
 def _check_deadline(deadline_ms: Optional[float]) -> None:
     # `not (x > 0)` rather than `x <= 0`: NaN must fail validation too.
@@ -123,9 +137,10 @@ class MaximizeQuery:
     (overriding ``samples``/``seed`` requires a registry-built default —
     a custom estimator *instance* on the session cannot be rebuilt and
     the overrides are ignored with a warning).
-    ``new_edge_prob``, ``candidate_space`` and ``eliminate`` mirror the
-    advanced knobs of the legacy facade (sharing one Algorithm 4 run
-    across methods, reproducing the no-elimination tables).
+    ``new_edge_prob`` replaces the fixed ``zeta`` probability of new
+    edges with a per-pair model; ``candidate_space`` shares one
+    Algorithm 4 run across methods, and ``eliminate=False`` reproduces
+    the no-elimination tables.
     ``deadline_ms`` carries the same serving-layer budget semantics as
     :attr:`ReliabilityQuery.deadline_ms`.
 
@@ -157,8 +172,6 @@ class MaximizeQuery:
     deadline_ms: Optional[float] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        from ..core.facade import METHODS  # local: avoid import cycle
-
         if self.k < 1:
             raise ValueError("k must be positive")
         if self.method not in METHODS:
@@ -169,6 +182,10 @@ class MaximizeQuery:
             )
         if not 0.0 <= self.zeta <= 1.0:
             raise ValueError(f"zeta {self.zeta!r} outside [0, 1]")
+        if self.new_edge_prob is None and self.zeta == 0.0:
+            # Execution turns zeta into the fixed new-edge probability,
+            # which must be positive.
+            raise ValueError("zeta must be in (0, 1] without new_edge_prob")
         if self.samples is not None and self.samples < 1:
             raise ValueError("samples must be positive")
         if self.seed is not None and self.seed < 0:

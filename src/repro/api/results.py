@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
+from ..baselines.common import ProbEdge
 from .queries import MaximizeQuery, Pair, ReliabilityQuery
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.facade import Solution
     from ..experiments.harness import ResultTable
 
 
@@ -144,16 +144,38 @@ class ReliabilityResult:
 
 
 @dataclass
+class Solution:
+    """Result of one budgeted reliability-maximization run."""
+
+    method: str
+    edges: List[ProbEdge]
+    base_reliability: float
+    new_reliability: float
+    elimination_seconds: float = 0.0
+    selection_seconds: float = 0.0
+    num_candidates: int = 0
+
+    @property
+    def gain(self) -> float:
+        """Reliability gain achieved by the selected edges."""
+        return self.new_reliability - self.base_reliability
+
+    @property
+    def total_seconds(self) -> float:
+        """End-to-end time: elimination plus selection."""
+        return self.elimination_seconds + self.selection_seconds
+
+
+@dataclass
 class MaximizeResult:
     """Answer to one :class:`MaximizeQuery`.
 
-    Wraps the legacy :class:`~repro.core.facade.Solution` (kept as the
-    stable value object the selection machinery produces) and adds the
-    session-level provenance of the sampler that drove selection.
+    Wraps the :class:`Solution` the selection pipeline produces and adds
+    the session-level provenance of the sampler that drove selection.
     """
 
     query: MaximizeQuery
-    solution: "Solution"
+    solution: Solution
     provenance: Provenance
 
     # Convenience pass-throughs so renderers only need the result.

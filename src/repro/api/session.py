@@ -18,12 +18,10 @@ Mutating the graph bumps ``UncertainGraph.version``; the session notices
 on the next query and evicts both the plan reference and every cached
 world batch, so results never reflect a stale graph.
 
-The session is also the facade for reliability *maximization*: it owns
-the solver configuration (``r``, ``l``, ``h``, selection estimator,
+The session is also the entry point for reliability *maximization*: it
+owns the solver configuration (``r``, ``l``, ``h``, selection estimator,
 paired evaluation sampler) and executes :class:`MaximizeQuery` objects
-via :mod:`repro.api.maximize`.  The legacy
-:class:`~repro.core.facade.ReliabilityMaximizer` is a thin shim over a
-per-call session.
+via :mod:`repro.api.maximize`.
 """
 
 from __future__ import annotations
@@ -89,7 +87,8 @@ Result = Union[ReliabilityResult, MaximizeResult]
 #: Overlay edge: ``(u, v, probability)``.
 ProbEdge = Tuple[int, int, float]
 
-#: Paired-evaluation defaults shared with the legacy facade.
+#: Paired-evaluation defaults: every method's gain is measured in
+#: these worlds unless the session is configured otherwise.
 DEFAULT_EVALUATION_SAMPLES = 1000
 DEFAULT_EVALUATION_SEED = 9_999
 
@@ -100,6 +99,16 @@ DEFAULT_EVALUATION_SEED = 9_999
 #: after a monotone edit instead of re-sweeping; they are bit-identical
 #: to fresh sweeps.
 _MAX_CACHED_REACH = 128
+
+
+def _check_sampling(
+    samples: Optional[int], seed: Optional[int], prefix: str = ""
+) -> None:
+    """Reject a sample budget or seed the engine would fail on later."""
+    if samples is not None and samples < 1:
+        raise ValueError(f"{prefix}samples must be positive, got {samples!r}")
+    if seed is not None and seed < 0:
+        raise ValueError(f"{prefix}seed must be non-negative, got {seed!r}")
 
 
 class Session:
@@ -187,6 +196,9 @@ class Session:
     ) -> None:
         if max_cached_batches < 1:
             raise ValueError("max_cached_batches must be positive")
+        _check_sampling(evaluation_samples, evaluation_seed, "evaluation_")
+        if l < 1:
+            raise ValueError(f"l must be positive, got {l!r}")
         self.graph = graph
         self.seed = seed
         self.store = store
@@ -967,10 +979,11 @@ class Session:
         shared evaluation batch; with candidate ``extra_edges`` a fresh
         paired estimator runs over the merged plan.  Both produce the
         exact values a standalone ``MonteCarloEstimator`` with the same
-        ``(Z, seed)`` would, so gains stay comparable across methods,
-        sessions and the legacy facade.
+        ``(Z, seed)`` would, so gains stay comparable across methods
+        and sessions.
         """
         self._affinity.check("Session.evaluate_pairs")
+        _check_sampling(samples, seed)
         samples = samples if samples is not None else self.evaluation_samples
         seed = seed if seed is not None else self.evaluation_seed
         pairs = list(pairs)
@@ -999,6 +1012,7 @@ class Session:
         seed: Optional[int] = None,
     ) -> float:
         """Reliability of one pair under the paired evaluation sampler."""
+        _check_sampling(samples, seed)
         if source == target:
             return 1.0
         return self.evaluate_pairs(

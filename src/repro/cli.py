@@ -40,10 +40,10 @@ from pathlib import Path
 from typing import Any, Callable, List, Optional, Sequence
 
 from . import datasets
-from .api import MaximizeQuery, ReliabilityQuery, Session, Workload
+from .api import METHODS, MaximizeQuery, ReliabilityQuery, Session, Workload
 from .graph import UncertainGraph, read_edge_list, summarize
 from .reliability import estimator_names, make_estimator, reliability_bounds
-from .core import METHODS, improve_most_reliable_path
+from .core import improve_most_reliable_path
 from .graph import fixed_new_edge_probability
 
 def _load_graph(args: argparse.Namespace) -> UncertainGraph:

@@ -19,7 +19,6 @@ from .probability_budget import (
     BudgetedMRPSolution,
     improve_mrp_with_probability_budget,
 )
-from .facade import METHODS, ReliabilityMaximizer, Solution
 from .multi import (
     AGGREGATES,
     MultiSolution,
@@ -41,9 +40,6 @@ __all__ = [
     "improve_most_reliable_path",
     "BudgetedMRPSolution",
     "improve_mrp_with_probability_budget",
-    "METHODS",
-    "ReliabilityMaximizer",
-    "Solution",
     "AGGREGATES",
     "MultiSolution",
     "MultiSourceTargetMaximizer",

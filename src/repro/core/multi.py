@@ -26,11 +26,11 @@ from .search_space import (
     CandidateSpace,
     PathInfo,
     candidate_edges_between,
+    eliminate_search_space,
     select_top_l_paths,
     top_r_nodes,
 )
 from .selection import build_path_batches
-from .facade import ReliabilityMaximizer
 
 AGGREGATES = ("average", "minimum", "maximum")
 _ALIASES = {"avg": "average", "min": "minimum", "max": "maximum"}
@@ -79,9 +79,12 @@ def _aggregate_value(values: Dict[Pair, float], aggregate: str) -> float:
 class MultiSourceTargetMaximizer:
     """Solver for Problem 4 under average / minimum / maximum aggregates.
 
-    Parameters mirror :class:`ReliabilityMaximizer`; ``k1`` is the
-    per-round installment for the min/max strategies (the paper's
-    default is ``k1 = 10% of k``).
+    ``estimator``, ``evaluation_samples`` / ``evaluation_seed``, ``r``,
+    ``l``, ``h`` and ``seed`` mean what the same-named
+    :class:`repro.api.Session` settings mean (each min/max installment
+    runs on such a session); ``k1_fraction`` sets ``k1``, the per-round
+    installment for the min/max strategies (the paper's default is
+    ``k1 = 10% of k``).
     """
 
     def __init__(
@@ -327,6 +330,8 @@ class MultiSourceTargetMaximizer:
         forbidden_nodes: Optional[Set[int]],
     ) -> MultiSolution:
         """§6.2 / §6.3: k1-installment improvement of the extreme pair."""
+        from ..api import MaximizeQuery, Session  # local: repro.api imports repro.core
+
         k1 = max(1, int(round(k * self.k1_fraction)))
         pick_min = aggregate == "minimum"
 
@@ -337,15 +342,6 @@ class MultiSourceTargetMaximizer:
         saturated: Set[Pair] = set()
 
         pair_values = self.estimator.pair_reliabilities(working, pairs)
-        single = ReliabilityMaximizer(
-            estimator=self.estimator,
-            evaluation_samples=self.evaluation_samples,
-            evaluation_seed=self.evaluation_seed,
-            r=self.r,
-            l=self.l,
-            h=self.h,
-            seed=self.seed,
-        )
         while len(added) < k:
             active = {p: v for p, v in pair_values.items() if p not in saturated}
             if not active:
@@ -353,17 +349,29 @@ class MultiSourceTargetMaximizer:
             chooser = min if pick_min else max
             pair = chooser(active, key=lambda p: (active[p], p))
             budget = min(k1, k - len(added))
-            space = single.candidates(
-                working, pair[0], pair[1], prob_model,
+            space = eliminate_search_space(
+                working, pair[0], pair[1],
+                r=self.r,
+                new_edge_prob=prob_model,
+                estimator=self.estimator,
+                h=self.h,
                 forbidden_nodes=forbidden_nodes,
             )
             elimination_seconds += space.elapsed_seconds
-            solution = single.maximize(
-                working, pair[0], pair[1], budget,
-                method="be",
-                new_edge_prob=prob_model,
-                candidate_space=space,
+            session = Session(
+                working,
+                seed=self.seed,
+                estimator=self.estimator,
+                evaluation_samples=self.evaluation_samples,
+                evaluation_seed=self.evaluation_seed,
+                r=self.r,
+                l=self.l,
+                h=self.h,
             )
+            solution = session.maximize(MaximizeQuery(
+                pair[0], pair[1], k=budget, method="be",
+                new_edge_prob=prob_model, candidate_space=space,
+            )).solution
             if not solution.edges:
                 saturated.add(pair)
                 continue

@@ -155,23 +155,6 @@ class VectorizedSamplingEngine:
             plan, num_samples, self._rng, forced_true, forced_false
         )
 
-    def selection_kernel(
-        self,
-        graph: UncertainGraph,
-        num_samples: int,
-    ) -> "SelectionGainKernel":
-        """Batched candidate-gain kernel rooted at this engine's seed.
-
-        The kernel samples its own base batch from a *fresh* generator
-        seeded like this engine (selection results are deterministic
-        regardless of the engine's prior call history) and evaluates
-        every candidate edge against it — see
-        :mod:`repro.engine.selection`.
-        """
-        from .selection import SelectionGainKernel
-
-        return SelectionGainKernel(graph, num_samples, seed=self.seed)
-
     # ------------------------------------------------------------------
     # estimator surface
     # ------------------------------------------------------------------
@@ -232,19 +215,6 @@ class VectorizedSamplingEngine:
         plan = build_query_plan(graph, extra_edges)
         batch = self.sample_worlds(plan, num_samples)
         return pair_hit_fractions(plan, batch, pairs, num_samples)
-
-    def reliability_many(
-        self,
-        graph: UncertainGraph,
-        pairs: Sequence[Pair],
-        num_samples: int,
-        extra_edges: Optional[Sequence[ProbEdge]] = None,
-    ) -> List[float]:
-        """Batched API: reliabilities aligned with ``pairs`` order."""
-        values = self.pair_reliabilities(
-            graph, list(pairs), num_samples, extra_edges
-        )
-        return [values[(s, t)] for s, t in pairs]
 
     def multi_source_reachability(
         self,

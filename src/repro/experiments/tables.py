@@ -15,12 +15,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..graph import UncertainGraph
 from ..reliability import ReliabilityEstimator, make_estimator
-from ..api import MaximizeQuery, Session
-from ..core import (
-    MultiSourceTargetMaximizer,
-    Solution,
-    eliminate_search_space,
-)
+from ..api import MaximizeQuery, Session, Solution
+from ..core import MultiSourceTargetMaximizer, eliminate_search_space
 from ..baselines import esssp_selection, ima_selection, eigenvalue_selection
 from ..baselines.common import (
     NewEdgeProbability,

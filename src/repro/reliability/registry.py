@@ -1,10 +1,9 @@
 """String-keyed estimator registry.
 
 One construction path for every sampler in the repo.  The CLI, the
-:class:`~repro.core.facade.ReliabilityMaximizer` facade, the experiments
-harness and the :mod:`repro.api` session layer all used to build
-estimators with hand-rolled ``if name == "mc": ...`` ladders; they now
-all call :func:`make_estimator`.
+experiments harness and the :mod:`repro.api` session layer all call
+:func:`make_estimator` instead of hand-rolled
+``if name == "mc": ...`` ladders.
 
 Each entry is an :class:`EstimatorSpec` describing, besides the factory,
 the capabilities the session layer needs to plan execution:
@@ -49,8 +48,8 @@ batches of ``rss`` / ``adaptive`` are query-conditioned, so those two
 still run reliability queries individually.
 
 Third-party estimators can join via :func:`register_estimator`; every
-registered name immediately works in the CLI (``--estimator``), the
-facade, ``Session`` workloads, and the HTTP serving layer
+registered name immediately works in the CLI (``--estimator``),
+``Session`` workloads, and the HTTP serving layer
 (:mod:`repro.serve`).  See ``docs/architecture.md`` ("Estimator
 registry") for how these capabilities drive execution planning end to
 end.

@@ -9,7 +9,6 @@ from repro.api import (
     Workload,
     results_table,
 )
-from repro.core import ReliabilityMaximizer
 from repro.graph import UncertainGraph, assign_uniform, erdos_renyi
 from repro.reliability import (
     MonteCarloEstimator,
@@ -223,20 +222,34 @@ class TestCacheInvalidation:
         assert stale.value == fresh.value
 
 
-class TestMaximizeThroughSession:
-    def test_matches_legacy_facade(self, graph):
-        query = MaximizeQuery(0, 30, k=2, zeta=0.6, method="be")
-        session = Session(graph, seed=3, r=10, l=10)
-        result = session.maximize(query)
-        solver = ReliabilityMaximizer(
-            estimator=make_estimator("rss", 250, seed=3), r=10, l=10, seed=3
-        )
-        legacy = solver.maximize(graph, 0, 30, k=2, zeta=0.6, method="be")
-        assert {(u, v) for u, v, _ in result.edges} == {
-            (u, v) for u, v, _ in legacy.edges
-        }
-        assert result.base_reliability == legacy.base_reliability
+class TestSessionValidation:
+    @pytest.mark.parametrize(
+        "fail, field",
+        [
+            (lambda g: Session(g, evaluation_samples=0), "evaluation_samples"),
+            (lambda g: Session(g, evaluation_seed=-1), "evaluation_seed"),
+            (lambda g: Session(g, l=0), "l"),
+            (lambda g: Session(g).evaluate(0, 30, samples=0), "samples"),
+            (lambda g: Session(g).evaluate(0, 0, seed=-1), "seed"),
+            (lambda g: Session(g).evaluate_pairs([(0, 30)], samples=0),
+             "samples"),
+            (lambda g: Session(g).evaluate_pairs([(0, 30)], seed=-1), "seed"),
+        ],
+        ids=[
+            "evaluation_samples", "evaluation_seed", "l",
+            "evaluate-samples", "evaluate-seed",
+            "evaluate_pairs-samples", "evaluate_pairs-seed",
+        ],
+    )
+    def test_bad_settings_fail_fast_naming_the_field(self, graph, fail, field):
+        # Unchecked, each would pass here and fail deep in the engine
+        # (ZeroDivisionError, numpy's seed check, Yen's l check) on the
+        # first query that needs it.
+        with pytest.raises(ValueError, match=rf"^{field} must"):
+            fail(graph)
 
+
+class TestMaximizeThroughSession:
     def test_unknown_method(self, graph):
         with pytest.raises(ValueError, match="unknown method"):
             Session(graph).maximize(MaximizeQuery(0, 1, method="magic"))

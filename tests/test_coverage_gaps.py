@@ -11,12 +11,14 @@ from repro.graph import (
 )
 from repro.reliability import (
     ExactEstimator,
+    MonteCarloEstimator,
     RecursiveStratifiedSampler,
     exact_reliability,
 )
+from repro.api import MaximizeQuery, Session
 from repro.core import (
     MultiSourceTargetMaximizer,
-    ReliabilityMaximizer,
+    eliminate_search_space,
     improve_mrp_with_probability_budget,
 )
 from repro.experiments import measure
@@ -113,17 +115,18 @@ class TestK1Installments:
         assert solution.gain > 0.2
 
 
-class TestFacadeDeterminism:
+class TestSessionDeterminism:
     def test_same_seed_same_solution(self):
         g = path_graph(7)
         assign_fixed(g, 0.5)
 
         def run():
-            solver = ReliabilityMaximizer(
+            session = Session(
+                g,
                 estimator=RecursiveStratifiedSampler(150, seed=5),
                 evaluation_samples=300, r=5, l=8, seed=5,
             )
-            return solver.maximize(g, 0, 6, k=2, zeta=0.6)
+            return session.maximize(MaximizeQuery(0, 6, k=2, zeta=0.6))
 
         a, b = run(), run()
         assert [(u, v) for u, v, _ in a.edges] == [
@@ -134,23 +137,25 @@ class TestFacadeDeterminism:
     def test_random_method_seeded(self):
         g = path_graph(7)
         assign_fixed(g, 0.5)
-        solver = ReliabilityMaximizer(
-            estimator=ExactEstimator(), evaluation_samples=200,
+        session = Session(
+            g, estimator=ExactEstimator(), evaluation_samples=200,
             r=5, l=8, seed=11,
         )
-        a = solver.maximize(g, 0, 6, k=2, method="random")
-        b = solver.maximize(g, 0, 6, k=2, method="random")
+        query = MaximizeQuery(0, 6, k=2, method="random")
+        a = session.maximize(query)
+        b = session.maximize(query)
         assert [(u, v) for u, v, _ in a.edges] == [
             (u, v) for u, v, _ in b.edges
         ]
 
 
 class TestReliabilityManyEmptyWorkload:
-    """``reliability_many([])`` is a no-op on every implementation.
+    """An empty pair workload is a no-op on every batched entry point.
 
     The empty workload must neither compile a plan nor flip a single
     coin — and certainly not raise — at any of the three entry points
-    (engine, estimator base class, deprecated facade shim).
+    (the engine behind ``MonteCarloEstimator``, the estimator base
+    class, ``Session.evaluate_pairs``).
     """
 
     def _graph(self):
@@ -159,29 +164,35 @@ class TestReliabilityManyEmptyWorkload:
         return g
 
     def test_engine_empty_pairs(self):
-        from repro.engine import VectorizedSamplingEngine
-
-        engine = VectorizedSamplingEngine(seed=1)
-        assert engine.reliability_many(self._graph(), [], 128) == []
+        est = MonteCarloEstimator(128, seed=1)
+        assert est.reliability_many(self._graph(), []) == []
 
     def test_estimator_empty_pairs(self):
         est = RecursiveStratifiedSampler(100, seed=1)
         assert est.reliability_many(self._graph(), []) == []
 
-    def test_facade_empty_pairs(self):
-        solver = ReliabilityMaximizer(
-            estimator=ExactEstimator(), evaluation_samples=100,
+    def test_session_empty_pairs(self):
+        session = Session(
+            self._graph(), estimator=ExactEstimator(), evaluation_samples=100,
         )
-        assert solver.reliability_many(self._graph(), []) == []
+        assert session.evaluate_pairs([]) == []
 
 
 class TestSolutionReporting:
     def test_num_candidates_tracks_space(self):
         g = path_graph(6)
         assign_fixed(g, 0.5)
-        solver = ReliabilityMaximizer(
-            estimator=ExactEstimator(), evaluation_samples=200, r=3, l=5,
+        session = Session(
+            g, estimator=ExactEstimator(), evaluation_samples=200, r=3, l=5,
         )
-        solution = solver.maximize(g, 0, 5, k=1, zeta=0.5)
-        space = solver.candidates(g, 0, 5, fixed_new_edge_probability(0.5))
+        solution = session.maximize(
+            MaximizeQuery(0, 5, k=1, zeta=0.5)
+        ).solution
+        space = eliminate_search_space(
+            g, 0, 5,
+            r=session.r,
+            new_edge_prob=fixed_new_edge_probability(0.5),
+            estimator=session.estimator,
+            h=session.h,
+        )
         assert solution.num_candidates == len(space.edges)

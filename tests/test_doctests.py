@@ -54,21 +54,6 @@ def test_readme_streaming_delta_snippet():
         [r.values for r in cold.run(workload)]
 
 
-def test_readme_legacy_facade_snippet():
-    """The legacy facade shim from the migration table keeps working."""
-    from repro import ReliabilityMaximizer, UncertainGraph
-
-    g = UncertainGraph()
-    g.add_edge(0, 1, 0.8)
-    g.add_edge(1, 2, 0.4)
-    g.add_edge(2, 3, 0.7)
-
-    solver = ReliabilityMaximizer(r=20, l=20)
-    solution = solver.maximize(g, 0, 3, k=2, zeta=0.5)
-    assert len(solution.edges) == 2
-    assert solution.gain > 0
-
-
 def test_api_module_doctests():
     import repro.api
 

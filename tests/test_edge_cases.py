@@ -16,9 +16,9 @@ from repro.reliability import (
     MonteCarloEstimator,
     RecursiveStratifiedSampler,
 )
+from repro.api import MaximizeQuery, Session
 from repro.core import (
     MultiSourceTargetMaximizer,
-    ReliabilityMaximizer,
     eliminate_search_space,
     select_top_l_paths,
 )
@@ -38,10 +38,11 @@ class TestDisconnectedQueries:
         return g
 
     def test_be_bridges_components(self, split_graph):
-        solver = ReliabilityMaximizer(
-            estimator=ExactEstimator(), r=6, l=5, evaluation_samples=2000
+        session = Session(
+            split_graph,
+            estimator=ExactEstimator(), r=6, l=5, evaluation_samples=2000,
         )
-        solution = solver.maximize(split_graph, 0, 12, k=1, zeta=0.9)
+        solution = session.maximize(MaximizeQuery(0, 12, k=1, zeta=0.9))
         assert solution.base_reliability == 0.0
         assert solution.new_reliability > 0.3
         # The single new edge must cross the component boundary.
@@ -49,11 +50,13 @@ class TestDisconnectedQueries:
         assert (u < 10) != (v < 10)
 
     def test_mrp_method_bridges_too(self, split_graph):
-        solver = ReliabilityMaximizer(
-            estimator=ExactEstimator(), r=6, l=5, evaluation_samples=2000
+        session = Session(
+            split_graph,
+            estimator=ExactEstimator(), r=6, l=5, evaluation_samples=2000,
         )
-        solution = solver.maximize(split_graph, 0, 12, k=2, zeta=0.9,
-                                   method="mrp")
+        solution = session.maximize(
+            MaximizeQuery(0, 12, k=2, zeta=0.9, method="mrp")
+        )
         assert solution.new_reliability > 0.0
 
 
@@ -62,10 +65,10 @@ class TestDegenerateGraphs:
         g = UncertainGraph()
         g.add_node(0)
         g.add_node(1)
-        solver = ReliabilityMaximizer(
-            estimator=ExactEstimator(), r=4, l=3, evaluation_samples=500
+        session = Session(
+            g, estimator=ExactEstimator(), r=4, l=3, evaluation_samples=500
         )
-        solution = solver.maximize(g, 0, 1, k=1, zeta=0.7)
+        solution = session.maximize(MaximizeQuery(0, 1, k=1, zeta=0.7))
         assert [(u, v) for u, v, _ in solution.edges] == [(0, 1)]
         assert solution.new_reliability == pytest.approx(0.7, abs=0.05)
 
@@ -74,10 +77,10 @@ class TestDegenerateGraphs:
         for u in range(4):
             for v in range(u + 1, 4):
                 g.add_edge(u, v, 0.5)
-        solver = ReliabilityMaximizer(
-            estimator=ExactEstimator(), r=4, l=5, evaluation_samples=500
+        session = Session(
+            g, estimator=ExactEstimator(), r=4, l=5, evaluation_samples=500
         )
-        solution = solver.maximize(g, 0, 3, k=2, zeta=0.9)
+        solution = session.maximize(MaximizeQuery(0, 3, k=2, zeta=0.9))
         assert solution.edges == []
         assert solution.gain == pytest.approx(0.0, abs=0.05)
 
@@ -150,10 +153,11 @@ class TestDirectedAsymmetry:
             assert not one_way.has_edge(u, v)
 
     def test_reverse_query_needs_reverse_edges(self, one_way):
-        solver = ReliabilityMaximizer(
-            estimator=ExactEstimator(), r=3, l=5, evaluation_samples=500
+        session = Session(
+            one_way, estimator=ExactEstimator(), r=3, l=5,
+            evaluation_samples=500,
         )
-        solution = solver.maximize(one_way, 2, 0, k=1, zeta=0.8)
+        solution = session.maximize(MaximizeQuery(2, 0, k=1, zeta=0.8))
         assert solution.base_reliability == 0.0
         assert solution.new_reliability > 0.0
 

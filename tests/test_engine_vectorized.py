@@ -359,26 +359,19 @@ class TestOverlayAndEdgeCases:
     def test_reachability_missing_source(self, engine, diamond):
         assert engine.reachability_from(diamond, 42, 10) == {}
 
-    def test_reliability_many_empty(self, engine, diamond):
-        assert engine.reliability_many(diamond, [], 10) == []
+    def test_pair_reliabilities_empty(self, engine, diamond):
+        assert engine.pair_reliabilities(diamond, [], 10) == {}
 
-    def test_reliability_many_with_overlay(self, engine, diamond):
+    def test_pair_reliabilities_with_overlay(self, engine, diamond):
         pairs = [(0, 3), (1, 2)]
-        with_edge = engine.reliability_many(diamond, pairs, 8000, [(0, 3, 1.0)])
-        assert with_edge[0] == 1.0  # certain overlay edge closes the pair
-        without = engine.reliability_many(diamond, pairs, 8000)
-        assert_close_to_exact(without[0], exact_reliability(diamond, 0, 3), 8000)
-
-
-class TestFacade:
-    def test_facade_reliability_many(self, diamond):
-        from repro.core.facade import ReliabilityMaximizer
-
-        solver = ReliabilityMaximizer(evaluation_samples=6000)
-        pairs = [(0, 3), (0, 1)]
-        values = solver.reliability_many(diamond, pairs)
-        assert len(values) == 2
-        assert_close_to_exact(values[0], exact_reliability(diamond, 0, 3), 6000)
+        with_edge = engine.pair_reliabilities(
+            diamond, pairs, 8000, [(0, 3, 1.0)]
+        )
+        assert with_edge[(0, 3)] == 1.0  # certain overlay edge closes the pair
+        without = engine.pair_reliabilities(diamond, pairs, 8000)
+        assert_close_to_exact(
+            without[(0, 3)], exact_reliability(diamond, 0, 3), 8000
+        )
 
 
 class TestMultiSourceFusedSweep:

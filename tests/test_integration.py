@@ -3,10 +3,8 @@
 import pytest
 
 from repro import datasets
-from repro.core import (
-    MultiSourceTargetMaximizer,
-    ReliabilityMaximizer,
-)
+from repro.api import MaximizeQuery, Session
+from repro.core import MultiSourceTargetMaximizer
 from repro.queries import sample_multi_sets, sample_st_pairs
 from repro.reliability import (
     BFSSharingIndex,
@@ -32,11 +30,12 @@ class TestPipelineAcrossDatasets:
     def test_be_improves_or_matches_base(self, small_real_graphs, name):
         graph = small_real_graphs[name]
         (s, t), = sample_st_pairs(graph, 1, seed=3)
-        solver = ReliabilityMaximizer(
+        session = Session(
+            graph,
             estimator=RecursiveStratifiedSampler(80, seed=1),
             evaluation_samples=400, r=10, l=10,
         )
-        solution = solver.maximize(graph, s, t, k=3, zeta=0.5)
+        solution = session.maximize(MaximizeQuery(s, t, k=3, zeta=0.5))
         assert len(solution.edges) <= 3
         assert solution.new_reliability >= solution.base_reliability - 0.05
         for u, v, p in solution.edges:
@@ -53,10 +52,12 @@ class TestPipelineAcrossDatasets:
             ("rss", RecursiveStratifiedSampler(100, seed=2)),
             ("lazy", LazyPropagationEstimator(150, seed=2)),
         ]:
-            solver = ReliabilityMaximizer(
-                estimator=estimator, evaluation_samples=500, r=10, l=10,
+            session = Session(
+                graph, estimator=estimator, evaluation_samples=500, r=10, l=10,
             )
-            gains[label] = solver.maximize(graph, s, t, k=3, zeta=0.5).gain
+            gains[label] = session.maximize(
+                MaximizeQuery(s, t, k=3, zeta=0.5)
+            ).gain
         values = list(gains.values())
         # All samplers land in the same ballpark solution quality.
         assert max(values) - min(values) < 0.25
@@ -68,11 +69,12 @@ class TestBoundsAgainstPipeline:
         certified min-cut bound of the augmented graph."""
         graph = small_real_graphs["dblp"]
         (s, t), = sample_st_pairs(graph, 1, seed=7)
-        solver = ReliabilityMaximizer(
+        session = Session(
+            graph,
             estimator=RecursiveStratifiedSampler(100, seed=3),
             evaluation_samples=800, r=10, l=10,
         )
-        solution = solver.maximize(graph, s, t, k=3, zeta=0.5)
+        solution = session.maximize(MaximizeQuery(s, t, k=3, zeta=0.5))
         augmented = graph.with_edges(solution.edges)
         bracket = reliability_bounds(augmented, s, t, num_paths=10)
         assert solution.new_reliability <= bracket.upper + 0.07

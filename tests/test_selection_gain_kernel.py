@@ -331,26 +331,6 @@ class TestSelectionBackend:
             assert selection_kernel_for(graph, estimator, kernel) is kernel
 
 
-class TestEngineKernel:
-    def test_engine_selection_kernel_matches_fresh_kernel(self):
-        """The engine-level constructor is seed-rooted: selections are
-        independent of the engine's prior call history."""
-        from repro.engine import VectorizedSamplingEngine
-
-        graph = build_graph(True, seed=55)
-        n = graph.num_nodes
-        pool = candidate_pool(n)
-        engine = VectorizedSamplingEngine(seed=SEED)
-        engine.reliability(graph, 0, n - 1, 32)  # advance the stream
-        via_engine = engine.selection_kernel(graph, Z).greedy_select(
-            0, n - 1, 2, pool
-        )
-        fresh = SelectionGainKernel(graph, Z, seed=SEED).greedy_select(
-            0, n - 1, 2, pool
-        )
-        assert via_engine == fresh
-
-
 class TestSessionKernel:
     def test_session_kernel_reuses_cached_batch(self):
         from repro.api import Session

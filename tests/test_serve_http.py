@@ -317,10 +317,14 @@ def test_negative_seed_and_zero_samples_get_400_at_the_door():
             "POST", host, port, "/maximize",
             {"source": 0, "target": 1, "zeta": 1.5},
         )
-        return bad_seed, zero_samples, bad_zeta_range
+        zero_zeta = await request(
+            "POST", host, port, "/maximize",
+            {"source": 0, "target": 1, "zeta": 0},
+        )
+        return bad_seed, zero_samples, bad_zeta_range, zero_zeta
 
     results = serve(graph, scenario)
-    assert [status for status, _ in results] == [400, 400, 400]
+    assert [status for status, _ in results] == [400, 400, 400, 400]
     # The same constraints hold at query construction, so direct
     # AsyncSession callers fail before entering a shared batch too.
     with pytest.raises(ValueError, match="seed"):
@@ -330,6 +334,8 @@ def test_negative_seed_and_zero_samples_get_400_at_the_door():
         MaximizeQuery(0, 1, samples=0)
     with pytest.raises(ValueError, match="zeta"):
         MaximizeQuery(0, 1, zeta=1.5)
+    with pytest.raises(ValueError, match="zeta"):
+        MaximizeQuery(0, 1, zeta=0.0)
 
 
 def test_transfer_encoding_is_rejected_not_desynced():
