@@ -43,6 +43,7 @@ from typing import (
 import numpy as np
 
 from ..analysis import sanitize
+from ..baselines.common import selection_kernel_for
 from ..engine import (
     QueryPlan,
     SelectionGainKernel,
@@ -67,7 +68,6 @@ from ..reliability import (
     ReliabilityEstimator,
     estimator_spec,
     make_estimator,
-    resolve_selection_backend,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -131,7 +131,8 @@ class Session:
         Paired Monte Carlo evaluation of solutions: every method's gain
         is measured in the same worlds (fixed seed).
     r, l, h:
-        Search-space parameters (Algorithm 4 / top-l paths / hop bound).
+        Search-space parameters (Algorithm 4 / top-l paths / hop bound):
+        ``r >= 1``, ``l >= 1``, and ``h >= 0`` or ``None`` (no bound).
     max_cached_batches:
         Bound on the world-batch cache: at most this many distinct
         ``(Z, seed)`` batches are kept (FIFO eviction), so long-lived
@@ -197,8 +198,12 @@ class Session:
         if max_cached_batches < 1:
             raise ValueError("max_cached_batches must be positive")
         _check_sampling(evaluation_samples, evaluation_seed, "evaluation_")
+        if r < 1:
+            raise ValueError(f"r must be positive, got {r!r}")
         if l < 1:
             raise ValueError(f"l must be positive, got {l!r}")
+        if h is not None and h < 0:
+            raise ValueError(f"h must be non-negative, got {h!r}")
         self.graph = graph
         self.seed = seed
         self.store = store
@@ -693,33 +698,17 @@ class Session:
     ) -> Optional["SelectionGainKernel"]:
         """Batched gain kernel over the session's cached plan and worlds.
 
-        Returns a :class:`~repro.engine.selection.SelectionGainKernel`
-        when ``estimator`` advertises a shared-world selection backend
-        (every registry estimator does), built on the session's
-        compiled plan — and, for the plain-batch backends
-        (``mc``/``lazy``), on the session's cached ``(Z, seed)`` world
-        batch, so consecutive maximize queries with the same sampler
-        configuration skip both compilation and coin flips.  Backends
-        with a query-conditioned base batch (per-stratum ``rss``,
-        per-block ``adaptive``) reuse the cached plan and build their
-        batch per query through the backend's ``make_batch`` factory.
-        ``None`` when the estimator has no selection backend (exact or
+        :func:`~repro.baselines.common.selection_kernel_for` on the
+        session's compiled plan and, for the plain-batch backends
+        (``mc``/``lazy``), its cached ``(Z, seed)`` world batch, so
+        consecutive maximize queries with the same sampler
+        configuration skip both compilation and coin flips.  ``None``
+        when the estimator has no selection backend (exact or
         third-party estimators); selection loops then run per-candidate.
         """
-        backend = resolve_selection_backend(estimator)
-        if backend is None:
-            return None
-        samples, seed = backend
-        plan, _ = self.plan()
-        factory = getattr(backend, "make_batch", None)
-        if factory is not None:
-            return SelectionGainKernel(
-                self.graph, samples, seed=seed, plan=plan,
-                batch_factory=factory,
-            )
-        batch, _, _ = self.world_batch(samples, seed)
-        return SelectionGainKernel(
-            self.graph, samples, seed=seed, plan=plan, batch=batch,
+        return selection_kernel_for(
+            self.graph, estimator, plan=self.plan()[0],
+            worlds=lambda samples, seed: self.world_batch(samples, seed)[0],
         )
 
     # ------------------------------------------------------------------

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, List, Optional, Set, Tuple
 
+from ..engine.csr import QueryPlan
+from ..engine.kernel import WorldBatch
 from ..engine.selection import SelectionGainKernel
 from ..graph import UncertainGraph
 from ..reliability.estimator import resolve_selection_backend
@@ -23,19 +25,27 @@ def selection_kernel_for(
     graph: UncertainGraph,
     estimator,
     kernel: Optional[SelectionGainKernel] = None,
+    *,
+    plan: Optional[QueryPlan] = None,
+    worlds: Optional[Callable[[int, int], WorldBatch]] = None,
 ) -> Optional[SelectionGainKernel]:
     """Resolve the batched gain kernel a selection loop should use.
 
-    A pre-built ``kernel`` (e.g. from
-    :meth:`repro.api.Session.selection_kernel`, carrying the session's
-    cached plan and world batch) is used as-is.  Otherwise the kernel is
-    built from the estimator's shared-world backend
+    The one estimator → kernel mapping.  A pre-built ``kernel`` (e.g.
+    from :meth:`repro.api.Session.selection_kernel`) is used as-is.
+    Otherwise the kernel is built from the estimator's shared-world
+    backend
     (:meth:`~repro.reliability.estimator.ReliabilityEstimator.selection_backend`);
     backends carrying a ``make_batch`` factory (per-stratum ``rss``,
     per-block ``adaptive``) get a kernel that builds its base batch per
     query through that factory.  ``None`` — the estimator has no backend
     (exact or third-party estimators) — sends the caller to the
     per-candidate loop.
+
+    ``plan`` (a compiled plan of ``graph``) and ``worlds(num_samples,
+    seed)`` (the batch a fresh ``default_rng(seed)`` samples over it)
+    let a caller with cached state — a session — skip compilation and
+    coin flips; ``worlds`` serves only the factory-less backends.
     """
     if kernel is not None:
         return kernel
@@ -43,9 +53,11 @@ def selection_kernel_for(
     if backend is None:
         return None
     num_samples, seed = backend
+    factory = getattr(backend, "make_batch", None)
+    batch = worlds(num_samples, seed) if worlds and factory is None else None
     return SelectionGainKernel(
-        graph, num_samples, seed=seed,
-        batch_factory=getattr(backend, "make_batch", None),
+        graph, num_samples, seed=seed, plan=plan, batch=batch,
+        batch_factory=factory,
     )
 
 

@@ -86,11 +86,13 @@ def _bounded(
     return parse
 
 
-#: Shared numeric flag types: sample budgets, ``-k`` and ``-l`` are
-#: counts >= 1; seeds feed numpy generators, which reject negatives;
-#: ``--zeta`` feeds the fixed new-edge model, which needs ``0 < zeta``.
+#: Shared numeric flag types: sample budgets, ``-k``, ``-r`` and ``-l``
+#: are counts >= 1; seeds feed numpy generators, which reject negatives;
+#: ``--h`` is a hop bound >= 0; ``--zeta`` feeds the fixed new-edge
+#: model, which needs ``0 < zeta``.
 _COUNT = _bounded(int, 1)
 _SEED = _bounded(int, 0)
+_HOPS = _bounded(int, 0)
 _ZETA = _bounded(float, 0.0, 1.0, low_open=True)
 
 
@@ -479,11 +481,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_max.add_argument("--estimator", choices=estimator_names(), default="rss")
     p_max.add_argument("--samples", type=_COUNT, default=250)
     p_max.add_argument("--evaluation-samples", type=_COUNT, default=1000)
-    p_max.add_argument("-r", type=int, default=100,
+    p_max.add_argument("-r", type=_COUNT, default=100,
                        help="relevant nodes per side (Algorithm 4)")
     p_max.add_argument("-l", type=_COUNT, default=30,
                        help="number of most reliable paths")
-    p_max.add_argument("--h", type=int, default=None,
+    p_max.add_argument("--h", type=_HOPS, default=None,
                        help="hop constraint for new edges")
     p_max.set_defaults(func=cmd_maximize)
 
@@ -495,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mrp.add_argument("--target", type=int, required=True)
     p_mrp.add_argument("-k", type=_COUNT, default=3)
     p_mrp.add_argument("--zeta", type=_ZETA, default=0.5)
-    p_mrp.add_argument("--h", type=int, default=None)
+    p_mrp.add_argument("--h", type=_HOPS, default=None)
     p_mrp.set_defaults(func=cmd_mrp)
 
     p_serve = subparsers.add_parser(
@@ -547,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="attach a persistent reliability index at this directory "
              "(created if absent); restarts warm-start from it",
     )
-    p_serve.add_argument("-r", type=int, default=100,
+    p_serve.add_argument("-r", type=_COUNT, default=100,
                          help="relevant nodes per side (Algorithm 4)")
     p_serve.add_argument("-l", type=_COUNT, default=30,
                          help="number of most reliable paths")

@@ -19,11 +19,8 @@ from .probability_budget import (
     BudgetedMRPSolution,
     improve_mrp_with_probability_budget,
 )
-from .multi import (
-    AGGREGATES,
-    MultiSolution,
-    MultiSourceTargetMaximizer,
-)
+from ..engine.selection import AGGREGATES
+from .multi import MultiSolution, MultiSourceTargetMaximizer
 
 __all__ = [
     "CandidateSpace",

@@ -3,7 +3,9 @@
 Three aggregate objectives over all ``(s, t)`` pairs in ``S x T``:
 
 * **average** (§6.1) — one global batch selection over the union of all
-  pairs' top-l paths, scoring batches by average-reliability gain;
+  pairs' top-l paths, scoring batches by average-reliability gain: BE's
+  own loop (:func:`~repro.core.selection.batch_greedy`) with the
+  average as its objective;
 * **minimum** (§6.2) — repeatedly improve the currently-weakest pair
   with a ``k1``-edge installment of the single-pair solver;
 * **maximum** (§6.3) — the same loop aimed at the currently-strongest
@@ -17,8 +19,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from ..engine.selection import aggregate_name, aggregate_value
 from ..graph import UncertainGraph, fixed_new_edge_probability
 from ..reliability import ReliabilityEstimator, make_estimator
 from ..baselines.common import Edge, NewEdgeProbability, ProbEdge
@@ -30,10 +33,7 @@ from .search_space import (
     select_top_l_paths,
     top_r_nodes,
 )
-from .selection import build_path_batches
-
-AGGREGATES = ("average", "minimum", "maximum")
-_ALIASES = {"avg": "average", "min": "minimum", "max": "maximum"}
+from .selection import batch_greedy, path_subgraph
 
 Pair = Tuple[int, int]
 
@@ -55,25 +55,6 @@ class MultiSolution:
     def gain(self) -> float:
         """Improvement of the aggregate objective."""
         return self.new_value - self.base_value
-
-
-def _normalize_aggregate(aggregate: str) -> str:
-    aggregate = _ALIASES.get(aggregate, aggregate)
-    if aggregate not in AGGREGATES:
-        raise ValueError(
-            f"unknown aggregate {aggregate!r}; expected one of {AGGREGATES}"
-        )
-    return aggregate
-
-
-def _aggregate_value(values: Dict[Pair, float], aggregate: str) -> float:
-    if not values:
-        return 0.0
-    if aggregate == "average":
-        return sum(values.values()) / len(values)
-    if aggregate == "minimum":
-        return min(values.values())
-    return max(values.values())
 
 
 class MultiSourceTargetMaximizer:
@@ -181,7 +162,7 @@ class MultiSourceTargetMaximizer:
         forbidden_nodes: Optional[Set[int]] = None,
     ) -> MultiSolution:
         """Problem 4: top-k edges maximizing the aggregate reliability."""
-        aggregate = _normalize_aggregate(aggregate)
+        aggregate = aggregate_name(aggregate)
         if k < 1:
             raise ValueError("k must be positive")
         if not sources or not targets:
@@ -232,8 +213,8 @@ class MultiSourceTargetMaximizer:
         return MultiSolution(
             aggregate="average",
             edges=edges,
-            base_value=_aggregate_value(pair_base, "average"),
-            new_value=_aggregate_value(pair_new, "average"),
+            base_value=aggregate_value(pair_base.values(), "average"),
+            new_value=aggregate_value(pair_new.values(), "average"),
             pair_base=pair_base,
             pair_new=pair_new,
             elimination_seconds=space.elapsed_seconds,
@@ -248,76 +229,26 @@ class MultiSourceTargetMaximizer:
         candidate_probs: Dict[Edge, float],
         k: int,
     ) -> List[ProbEdge]:
-        """§6.1's batch greedy with the average-reliability objective."""
-        all_paths = [p for paths in pair_paths.values() for p in paths]
-        path_pair: Dict[int, Pair] = {}
-        for pair, paths in pair_paths.items():
-            for p in paths:
-                path_pair[id(p)] = pair
-        batches = build_path_batches(all_paths)
+        """§6.1: BE's batch greedy on the average-reliability objective."""
+        path_pair = {
+            id(p): pair for pair, paths in pair_paths.items() for p in paths
+        }
+        endpoints = [node for pair in pairs for node in pair]
 
-        chosen: List[PathInfo] = list(batches.pop(frozenset(), []))
-        selected: Set[Edge] = set()
-
-        def value_of(paths: List[PathInfo]) -> float:
+        def average(paths: List[PathInfo]) -> float:
             if not paths:
                 return 0.0
-            per_pair: Dict[Pair, List[PathInfo]] = {}
-            for p in paths:
-                per_pair.setdefault(path_pair[id(p)], []).append(p)
-            existing: Set[Edge] = set()
-            needed: Set[Edge] = set()
-            for p in paths:
-                existing.update(p.existing_edges)
-                needed.update(p.candidate_edges)
-            sub = graph.edge_subgraph(existing)
-            overlay = [(u, v, candidate_probs[(u, v)]) for u, v in needed]
-            total = 0.0
-            for s, t in pairs:
-                sub.add_node(s)
-                sub.add_node(t)
-            values = self.estimator.pair_reliabilities(
-                sub, [p for p in pairs if per_pair.get(p)], overlay
+            sub, overlay = path_subgraph(
+                graph, paths, candidate_probs, endpoints
             )
-            total = sum(values.values())
-            return total / len(pairs)
+            served = {path_pair[id(p)] for p in paths}
+            values = self.estimator.pair_reliabilities(
+                sub, [p for p in pairs if p in served], overlay
+            )
+            return sum(values.values()) / len(pairs)
 
-        current = value_of(chosen)
-        while len(selected) < k and batches:
-            free = [label for label in batches if label <= selected]
-            for label in free:
-                chosen.extend(batches.pop(label))
-            if free:
-                current = value_of(chosen)
-            best_label: Optional[FrozenSet[Edge]] = None
-            best_norm = float("-inf")
-            best_value = current
-            best_activated: List[FrozenSet[Edge]] = []
-            for label in batches:
-                new_edges = label - selected
-                if not new_edges or len(selected) + len(new_edges) > k:
-                    continue
-                would_have = selected | new_edges
-                activated = [
-                    other for other in batches
-                    if other != label and other <= would_have
-                ]
-                trial = list(chosen) + list(batches[label])
-                for other in activated:
-                    trial.extend(batches[other])
-                value = value_of(trial)
-                norm = (value - current) / len(new_edges)
-                if norm > best_norm:
-                    best_norm, best_label = norm, label
-                    best_value, best_activated = value, activated
-            if best_label is None:
-                break
-            selected |= best_label
-            chosen.extend(batches.pop(best_label))
-            for other in best_activated:
-                chosen.extend(batches.pop(other))
-            current = best_value
-        return [(u, v, candidate_probs[(u, v)]) for u, v in sorted(selected)]
+        all_paths = [p for paths in pair_paths.values() for p in paths]
+        return batch_greedy(all_paths, k, average, candidate_probs)
 
     # ------------------------------------------------------------------
     def _maximize_extreme(
@@ -387,8 +318,8 @@ class MultiSourceTargetMaximizer:
         return MultiSolution(
             aggregate=aggregate,
             edges=added,
-            base_value=_aggregate_value(pair_base, aggregate),
-            new_value=_aggregate_value(pair_new, aggregate),
+            base_value=aggregate_value(pair_base.values(), aggregate),
+            new_value=aggregate_value(pair_new.values(), aggregate),
             pair_base=pair_base,
             pair_new=pair_new,
             elimination_seconds=elimination_seconds,

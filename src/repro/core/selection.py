@@ -15,16 +15,43 @@ Two selectors over the pruned path set:
 Both evaluate reliability only on the small subgraph induced by the
 selected paths (Problem 3's objective ``R(s, t, P1)``), which is what
 makes them orders of magnitude faster than hill climbing.
+
+BE's greedy loop, :func:`batch_greedy`, takes the objective as a
+callable: :func:`batch_selection` passes ``R(s, t, P1)`` and the
+multiple-source-target solver (:mod:`repro.core.multi`, §6.1) passes
+the average reliability over its ``(s, t)`` pairs.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..graph import UncertainGraph
 from ..reliability import ReliabilityEstimator
 from ..baselines.common import Edge, ProbEdge
 from .search_space import PathInfo, PathSet
+
+
+def path_subgraph(
+    graph: UncertainGraph,
+    paths: Sequence[PathInfo],
+    candidate_probs: Dict[Edge, float],
+    endpoints: Iterable[int],
+) -> Tuple[UncertainGraph, List[ProbEdge]]:
+    """The subgraph induced by ``paths`` and its candidate-edge overlay.
+
+    ``endpoints`` are added as nodes, so queries on them stay valid
+    when no path touches them.
+    """
+    existing: Set[Edge] = set()
+    needed: Set[Edge] = set()
+    for path in paths:
+        existing.update(path.existing_edges)
+        needed.update(path.candidate_edges)
+    sub = graph.edge_subgraph(existing)
+    for node in endpoints:
+        sub.add_node(node)
+    return sub, [(u, v, candidate_probs[(u, v)]) for u, v in needed]
 
 
 def _evaluate_path_set(
@@ -38,15 +65,9 @@ def _evaluate_path_set(
     """``R(s, t, P1)`` — reliability on the subgraph induced by ``paths``."""
     if not paths:
         return 0.0
-    existing: Set[Edge] = set()
-    needed: Set[Edge] = set()
-    for path in paths:
-        existing.update(path.existing_edges)
-        needed.update(path.candidate_edges)
-    sub = graph.edge_subgraph(existing)
-    sub.add_node(source)
-    sub.add_node(target)
-    overlay = [(u, v, candidate_probs[(u, v)]) for u, v in needed]
+    sub, overlay = path_subgraph(
+        graph, paths, candidate_probs, (source, target)
+    )
     return estimator.reliability(sub, source, target, overlay)
 
 
@@ -98,34 +119,28 @@ def build_path_batches(paths: Sequence[PathInfo]) -> Dict[FrozenSet[Edge], List[
     return batches
 
 
-def batch_selection(
-    graph: UncertainGraph,
-    source: int,
-    target: int,
+def batch_greedy(
+    paths: Sequence[PathInfo],
     k: int,
-    path_set: PathSet,
-    estimator: ReliabilityEstimator,
+    objective: Callable[[List[PathInfo]], float],
+    candidate_probs: Dict[Edge, float],
     normalize: bool = True,
 ) -> List[ProbEdge]:
-    """BE (§5.2.2): batch-at-a-time greedy with per-new-edge normalization.
+    """BE's batch-at-a-time greedy over ``objective(paths) -> float``.
 
-    Every round evaluates each feasible batch *together with* all batches
-    it would activate (label a subset of the would-be selected edges) and
-    includes the batch with the best normalized marginal gain.
-    ``normalize=False`` disables the per-new-edge normalization (ablation:
-    reverts the scoring to Example 3's "raw gain" variant, which prefers
-    the individually-best path batch).
+    Paths are grouped into batches by candidate-edge label
+    (:func:`build_path_batches`); unlabeled paths are chosen up front.
+    Every round activates for free the batches whose labels are already
+    covered, then evaluates each feasible batch *together with* all
+    batches it would activate (label a subset of the would-be selected
+    edges) and includes the one with the best marginal gain divided by
+    its number of new edges (``normalize=False``: the raw gain).  First
+    maximum wins ties.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
-    candidate_probs = {(u, v): p for u, v, p in path_set.surviving_candidates}
-    batches = build_path_batches(path_set.paths)
-
+    batches = build_path_batches(paths)
     chosen: List[PathInfo] = list(batches.pop(frozenset(), []))
     selected_edges: Set[Edge] = set()
-    current_value = _evaluate_path_set(
-        graph, source, target, chosen, candidate_probs, estimator
-    )
+    current_value = objective(chosen)
 
     while len(selected_edges) < k and batches:
         # Batches already fully covered by selected edges come for free.
@@ -135,9 +150,7 @@ def batch_selection(
         for label in free_labels:
             chosen.extend(batches.pop(label))
         if free_labels:
-            current_value = _evaluate_path_set(
-                graph, source, target, chosen, candidate_probs, estimator
-            )
+            current_value = objective(chosen)
         best_label: Optional[FrozenSet[Edge]] = None
         best_norm_gain = float("-inf")
         best_value = current_value
@@ -154,9 +167,7 @@ def batch_selection(
             trial_paths = list(chosen) + list(batches[label])
             for other in activated:
                 trial_paths.extend(batches[other])
-            value = _evaluate_path_set(
-                graph, source, target, trial_paths, candidate_probs, estimator
-            )
+            value = objective(trial_paths)
             divisor = len(new_edges) if normalize else 1
             norm_gain = (value - current_value) / divisor
             if norm_gain > best_norm_gain:
@@ -172,3 +183,32 @@ def batch_selection(
             chosen.extend(batches.pop(other))
         current_value = best_value
     return [(u, v, candidate_probs[(u, v)]) for u, v in sorted(selected_edges)]
+
+
+def batch_selection(
+    graph: UncertainGraph,
+    source: int,
+    target: int,
+    k: int,
+    path_set: PathSet,
+    estimator: ReliabilityEstimator,
+    normalize: bool = True,
+) -> List[ProbEdge]:
+    """BE (§5.2.2): :func:`batch_greedy` on ``R(s, t, P1)``.
+
+    ``normalize=False`` disables the per-new-edge normalization
+    (ablation: reverts the scoring to Example 3's "raw gain" variant,
+    which prefers the individually-best path batch).
+    """
+    if k < 1:
+        raise ValueError("k must be positive")
+    candidate_probs = {(u, v): p for u, v, p in path_set.surviving_candidates}
+    return batch_greedy(
+        path_set.paths,
+        k,
+        lambda paths: _evaluate_path_set(
+            graph, source, target, paths, candidate_probs, estimator
+        ),
+        candidate_probs,
+        normalize,
+    )

@@ -11,6 +11,12 @@ every candidate's marginal gain is a keyed coin row plus
 AND/OR + popcount over uint64 words — ``O(Z / 64)`` words per
 candidate.
 
+There is one greedy loop,
+:meth:`SelectionGainKernel.greedy_select_multi`, over an aggregate of
+several ``(s, t)`` pairs (Problem 4, §6); single-pair hill climbing
+(:meth:`SelectionGainKernel.greedy_select`) is its one-pair case, and
+individual top-k scores one round of the same per-pair counts.
+
 Exactness of the single-edge gain identity
 ------------------------------------------
 Fix one sampled world ``G_i`` (base graph plus already-selected edges,
@@ -45,7 +51,9 @@ the next round's forward mask is obtained by seeding
 the sweep from the endpoints whose rows changed
 (:func:`~repro.engine.kernel.batch_reach_resume`) — instead of
 re-sweeping all ``Z`` worlds from ``s`` and ``t`` from scratch.  The
-restart converges to the exact same fixpoint bit for bit (pinned by
+greedy loop advances every pair's masks this way, so ``greedy_select``
+and ``greedy_select_multi`` restart alike.  The restart converges to
+the exact same fixpoint bit for bit (pinned by
 ``tests/test_selection_incremental.py``); ``incremental=False`` keeps
 the full re-sweep for comparison, and
 ``benchmarks/bench_sweep_gated.py`` gates the per-round speedup.
@@ -83,7 +91,7 @@ vectorized selection (see
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -97,7 +105,6 @@ from .csr import (
 )
 from .kernel import (
     WorldBatch,
-    batch_reach,
     batch_reach_resume,
     coin_base,
     extend_batch,
@@ -128,15 +135,44 @@ BatchFactory = Callable[
 #: the memory discipline of ``Session.world_batch``).
 _MAX_QUERY_BATCHES = 8
 
-#: Aggregates supported by :meth:`SelectionGainKernel.greedy_select_multi`.
-_AGGREGATES = {
-    "avg": lambda counts: counts.mean(axis=0),
-    "average": lambda counts: counts.mean(axis=0),
-    "min": lambda counts: counts.min(axis=0),
-    "minimum": lambda counts: counts.min(axis=0),
-    "max": lambda counts: counts.max(axis=0),
-    "maximum": lambda counts: counts.max(axis=0),
+#: Aggregate objectives over several ``(s, t)`` pairs (Problem 4, §6),
+#: by canonical name: the scalar over pair values, and the column-wise
+#: reduction :meth:`SelectionGainKernel.greedy_select_multi` takes over
+#: a round's ``(pairs, candidates)`` hit counts.
+_AGGREGATES: Dict[str, Tuple[Callable, Callable]] = {
+    "average": (
+        lambda values: sum(values) / len(values),
+        lambda counts: counts.mean(axis=0),
+    ),
+    "minimum": (min, lambda counts: counts.min(axis=0)),
+    "maximum": (max, lambda counts: counts.max(axis=0)),
 }
+
+#: Canonical aggregate names (also exported as ``repro.core.AGGREGATES``).
+AGGREGATES = tuple(_AGGREGATES)
+
+_ALIASES = {"avg": "average", "min": "minimum", "max": "maximum"}
+
+
+def aggregate_name(aggregate: str) -> str:
+    """Canonical name of ``aggregate``; ``avg``/``min``/``max`` are aliases."""
+    name = _ALIASES.get(aggregate, aggregate)
+    if name not in _AGGREGATES:
+        raise ValueError(
+            f"unknown aggregate {aggregate!r}; expected one of {AGGREGATES}"
+        )
+    return name
+
+
+def aggregate_value(values: Iterable[float], aggregate: str) -> float:
+    """``aggregate`` of pair values, in iteration order; 0.0 when empty.
+
+    The average is ``sum(values) / len(values)`` — not ``numpy.mean``,
+    which sums in a different order and can differ in the last bit.
+    """
+    scalar = _AGGREGATES[aggregate_name(aggregate)][0]
+    values = list(values)
+    return scalar(values) if values else 0.0
 
 
 class SelectionGainKernel:
@@ -277,7 +313,7 @@ class SelectionGainKernel:
         )
 
     # ------------------------------------------------------------------
-    # single-pair selection
+    # selection
     # ------------------------------------------------------------------
     def individual_gains(
         self,
@@ -293,15 +329,16 @@ class SelectionGainKernel:
         the module docstring), hence always non-negative.
         """
         candidates = list(candidates)
-        src = self.plan.node_index(source)
-        dst = self.plan.node_index(target)
-        if source == target or src is None or dst is None:
-            return np.zeros(len(candidates), dtype=np.int64)
+        pairs = [(source, target)]
         batch = self.base_batch(source, target)
-        forward = batch_reach(self.plan, batch, [src])
-        reverse = batch_reach(self.plan.reverse_view(), batch, [dst])
+        forward: Dict[int, np.ndarray] = {}
+        reverse: Dict[int, np.ndarray] = {}
+        self._pair_masks(self.plan, batch, pairs, forward, reverse)
         rows = self.candidate_rows(0, candidates, batch)
-        return self._gains(self.plan, forward, reverse, dst, candidates, rows)
+        _base, gained = self._pair_counts(
+            self.plan, batch, pairs, candidates, rows, forward, reverse
+        )
+        return gained[0]
 
     def top_k(
         self,
@@ -329,61 +366,10 @@ class SelectionGainKernel:
         k: int,
         candidates: Sequence[ProbEdge],
     ) -> List[ProbEdge]:
-        """Hill climbing: ``k`` rounds of batched marginal-gain argmax.
+        """Hill climbing: :meth:`greedy_select_multi` on the one pair
+        ``(source, target)``."""
+        return self.greedy_select_multi([(source, target)], k, candidates)
 
-        Round 0 costs one forward and one reverse batch BFS; later
-        rounds *resume* those sweeps from the previous winner's
-        endpoints restricted to the worlds where its coin landed heads
-        (monotone-exact, see the module docstring), then ``O(Z/64)``
-        words per candidate.  The winner's coin row is appended to the
-        batch, so the next round's "current" reliability is conditioned
-        on the exact worlds in which the winner was evaluated — one
-        persistent world batch across the whole selection.
-        """
-        if k < 1:
-            raise ValueError("k must be positive")
-        candidates = list(candidates)
-        selected: List[ProbEdge] = []
-        remaining = list(range(len(candidates)))
-        plan = self.plan
-        src = plan.node_index(source)
-        dst = plan.node_index(target)
-        # Degenerate queries (s == t, or an endpoint the graph has never
-        # seen) have constant objective: the scalar greedy sees all-equal
-        # values and always pops the lowest remaining index.
-        degenerate = source == target or src is None or dst is None
-        batch = None if degenerate else self.base_batch(source, target)
-        forward: Optional[np.ndarray] = None
-        reverse: Optional[np.ndarray] = None
-        while len(selected) < k and remaining:
-            if degenerate:
-                selected.append(candidates[remaining.pop(0)])
-                continue
-            if forward is None:
-                forward = batch_reach(plan, batch, [src])
-                reverse = batch_reach(plan.reverse_view(), batch, [dst])
-            round_index = len(selected)
-            pool = [candidates[j] for j in remaining]
-            rows = self.candidate_rows(round_index, pool, batch)
-            gains = self._gains(plan, forward, reverse, dst, pool, rows)
-            best = int(np.argmax(gains))  # first max = lowest index
-            edge = candidates[remaining.pop(best)]
-            selected.append(edge)
-            if len(selected) >= k or not remaining:
-                break  # no further rounds to prepare state for
-            plan = extend_with_overlay(plan, [edge])
-            batch = extend_batch(batch, rows[best][None, :])
-            if self.incremental:
-                forward, reverse = self._advance_masks(
-                    plan, batch, forward, reverse, edge, rows[best]
-                )
-            else:
-                forward = reverse = None  # full re-sweep next round
-        return selected
-
-    # ------------------------------------------------------------------
-    # multi-pair selection (aggregate objectives, Tables 23-25)
-    # ------------------------------------------------------------------
     def greedy_select_multi(
         self,
         pairs: Sequence[Pair],
@@ -393,30 +379,27 @@ class SelectionGainKernel:
     ) -> List[ProbEdge]:
         """Hill climbing on an aggregate of several ``(s, t)`` pairs.
 
-        Round 0 sweeps the distinct sources, and the distinct targets
-        of the reverse plan, through the fused multi-source path
-        (:func:`~repro.engine.kernel.reach_each`); every
-        candidate's updated per-pair hit counts are then pure bitwise
-        ops.  The aggregate (``avg`` / ``min`` / ``max``) is taken over
-        the pair axis and the first-max candidate wins.  Later rounds
-        advance every maintained mask incrementally from the committed
-        winner's endpoints (worlds where its coin landed heads) instead
-        of re-sweeping, exactly like :meth:`greedy_select`.  The scalar
-        equivalent re-runs ``pair_reliabilities`` once per candidate
-        per round; matching its dict-valued objective, duplicate pairs
-        are collapsed before aggregation (each distinct pair counts
-        once).  With a ``batch_factory``, the first pair seeds the
-        factory (one shared batch must serve every pair).
+        The kernel's one greedy loop (:meth:`greedy_select` runs it on
+        one pair).  Round 0 sweeps the distinct sources, and the
+        distinct targets of the reverse plan, through the fused
+        multi-source path (:func:`~repro.engine.kernel.reach_each`);
+        every candidate's updated per-pair hit counts are then pure
+        bitwise ops.  The aggregate (:func:`aggregate_name`) is taken
+        over the pair axis and the first-max candidate wins.  Later
+        rounds advance every maintained mask incrementally from the
+        committed winner's endpoints (worlds where its coin landed
+        heads) instead of re-sweeping.  The winner's coin row is
+        appended to the batch, so the next round is conditioned on the
+        exact worlds the winner was measured in.  The scalar equivalent
+        re-runs ``pair_reliabilities`` once per candidate per round;
+        matching its dict-valued objective, duplicate pairs are
+        collapsed before aggregation (each distinct pair counts once).
+        With a ``batch_factory``, the first pair seeds the factory (one
+        shared batch must serve every pair).
         """
         if k < 1:
             raise ValueError("k must be positive")
-        try:
-            agg = _AGGREGATES[aggregate]
-        except KeyError:
-            raise ValueError(
-                f"unknown aggregate {aggregate!r}; expected one of "
-                f"{sorted(_AGGREGATES)}"
-            ) from None
+        agg = _AGGREGATES[aggregate_name(aggregate)][1]
         pairs = list(dict.fromkeys(pairs))  # dedupe, preserve order
         if not pairs:
             raise ValueError("pairs must be non-empty")
@@ -438,18 +421,18 @@ class SelectionGainKernel:
             pairs[0],
         )
         batch = self.base_batch(*seed_pair)
-        forward: Optional[Dict[int, np.ndarray]] = None
-        reverse: Optional[Dict[int, np.ndarray]] = None
+        forward: Dict[int, np.ndarray] = {}
+        reverse: Dict[int, np.ndarray] = {}
         while len(selected) < k and remaining:
-            if forward is None:
-                forward, reverse = self._pair_masks(plan, batch, pairs)
+            self._pair_masks(plan, batch, pairs, forward, reverse)
             round_index = len(selected)
             pool = [candidates[j] for j in remaining]
             rows = self.candidate_rows(round_index, pool, batch)
-            counts = self._pair_counts(
+            base, gained = self._pair_counts(
                 plan, batch, pairs, pool, rows, forward, reverse
             )
-            best = int(np.argmax(agg(counts)))  # first max = lowest index
+            # First max = lowest candidate index.
+            best = int(np.argmax(agg(base[:, None] + gained)))
             edge = candidates[remaining.pop(best)]
             selected.append(edge)
             if len(selected) >= k or not remaining:
@@ -457,74 +440,24 @@ class SelectionGainKernel:
             plan = extend_with_overlay(plan, [edge])
             batch = extend_batch(batch, rows[best][None, :])
             if self.incremental:
-                row = rows[best]
+                # No `row = rows[best]` local: a view would keep this
+                # round's whole (candidates, W) coin matrix alive into
+                # the next round's scoring.
                 forward = {
-                    s: self._advance_forward(plan, batch, mask, edge, row)
+                    s: self._advance_forward(plan, batch, mask, edge, rows[best])
                     for s, mask in forward.items()
                 }
                 reverse = {
-                    t: self._advance_reverse(plan, batch, mask, edge, row)
+                    t: self._advance_reverse(plan, batch, mask, edge, rows[best])
                     for t, mask in reverse.items()
                 }
-                # A pair endpoint unknown to the base graph may have
-                # just been interned by the committed overlay edge;
-                # give it a fresh mask (the per-round rebuild used to
-                # pick these up implicitly).
-                for s, t in pairs:
-                    si = plan.node_index(s)
-                    if si is not None and s not in forward:
-                        forward[s] = batch_reach(plan, batch, [si])
-                    ti = plan.node_index(t)
-                    if ti is not None and t not in reverse:
-                        reverse[t] = batch_reach(
-                            plan.reverse_view(), batch, [ti]
-                        )
             else:
-                forward = reverse = None
+                forward, reverse = {}, {}  # full re-sweep next round
         return selected
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _gains(
-        self,
-        plan: QueryPlan,
-        forward: np.ndarray,
-        reverse: np.ndarray,
-        dst: int,
-        pool: Sequence[ProbEdge],
-        rows: np.ndarray,
-    ) -> np.ndarray:
-        """New-world hit counts for one round's candidate pool.
-
-        ``forward`` / ``reverse`` are the round's reached masks (fresh
-        sweeps or incrementally maintained — identical either way);
-        the pool is scored in one vectorized bitwise pass.
-        """
-        already = forward[dst]
-        via = self._via_masks(
-            plan, forward, reverse, self._resolve_endpoints(plan, pool)
-        )
-        # ~already sets pad bits, but coin rows keep pad bits zero, so
-        # the AND chain stays pad-clean and popcounts stay exact.
-        new_hits = rows & via & ~already[None, :]
-        return popcount(new_hits).sum(axis=1, dtype=np.int64)
-
-    def _advance_masks(
-        self,
-        plan: QueryPlan,
-        batch: WorldBatch,
-        forward: np.ndarray,
-        reverse: np.ndarray,
-        edge: ProbEdge,
-        row: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Fold a committed winner into the maintained ``(F, R)`` masks."""
-        return (
-            self._advance_forward(plan, batch, forward, edge, row),
-            self._advance_reverse(plan, batch, reverse, edge, row),
-        )
-
     def _advance_forward(
         self,
         plan: QueryPlan,
@@ -630,51 +563,35 @@ class SelectionGainKernel:
                 vi[i] = b
         return ui, vi, known
 
-    @staticmethod
-    def _via_masks(
-        plan: QueryPlan,
-        forward: np.ndarray,
-        reverse: np.ndarray,
-        endpoints: Tuple[np.ndarray, np.ndarray, np.ndarray],
-    ) -> np.ndarray:
-        """Per-candidate ``s⇝u AND v⇝t`` (plus swap when undirected)."""
-        ui, vi, known = endpoints
-        via = forward[ui] & reverse[vi]
-        if not plan.directed:
-            via |= forward[vi] & reverse[ui]
-        via[~known] = 0
-        return via
-
     def _pair_masks(
         self,
         plan: QueryPlan,
         batch: WorldBatch,
         pairs: Sequence[Pair],
-    ) -> Tuple[Dict[int, np.ndarray], Dict[int, np.ndarray]]:
-        """Forward masks per distinct source, reverse per distinct target.
+        forward: Dict[int, np.ndarray],
+        reverse: Dict[int, np.ndarray],
+    ) -> None:
+        """Sweep the masks pair endpoints known to ``plan`` still lack.
 
-        Both directions sweep their distinct endpoints through
+        Fills ``forward`` (per distinct source) and ``reverse`` (per
+        distinct target) in place: every endpoint in round 0, and after
+        an incremental advance only those the committed overlay edge
+        just interned.  Both directions sweep through
         :func:`~repro.engine.kernel.reach_each` — the same fused,
         memory-chunked path as the session's pair sweeps.  Each mask is
         its own contiguous matrix, advanced independently across rounds.
         """
-        sources: Dict[int, int] = {}  # endpoint id -> dense index
-        targets: Dict[int, int] = {}
-        for s, t in pairs:
-            si, ti = plan.node_index(s), plan.node_index(t)
-            if si is not None:
-                sources.setdefault(s, si)
-            if ti is not None:
-                targets.setdefault(t, ti)
-        forward: Dict[int, np.ndarray] = {}
-        reverse: Dict[int, np.ndarray] = {}
-        for out, ends, sweep_plan in (
-            (forward, sources, plan),
-            (reverse, targets, plan.reverse_view()),
+        for masks, ends, sweep_plan in (
+            (forward, [s for s, _ in pairs], plan),
+            (reverse, [t for _, t in pairs], plan.reverse_view()),
         ):
-            masks = reach_each(sweep_plan, batch, list(ends.values()))
-            out.update(zip(ends, masks, strict=True))
-        return forward, reverse
+            todo: Dict[int, int] = {}  # endpoint id -> dense index
+            for node in ends:
+                index = plan.node_index(node)
+                if index is not None and node not in masks:
+                    todo.setdefault(node, index)
+            swept = reach_each(sweep_plan, batch, list(todo.values()))
+            masks.update(zip(todo, swept, strict=True))
 
     def _pair_counts(
         self,
@@ -685,28 +602,36 @@ class SelectionGainKernel:
         rows: np.ndarray,
         forward: Dict[int, np.ndarray],
         reverse: Dict[int, np.ndarray],
-    ) -> np.ndarray:
-        """Updated hit counts ``(num_pairs, num_candidates)`` per pair.
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Base and gained hit counts of one round, per pair.
 
-        Entry ``[p, j]`` is the number of worlds in which pair ``p`` is
-        connected after adding candidate ``j`` alone — the exact batch
-        count against the round's maintained masks.
+        ``base[p]`` counts the worlds in which pair ``p`` is connected
+        now; ``gained[p, j]`` the further worlds adding candidate ``j``
+        alone connects — exact batch counts against the round's
+        maintained masks.  A pair with ``s == t`` is connected in every
+        world; one with an endpoint the plan does not know yet, in none.
         """
-        endpoints = self._resolve_endpoints(plan, pool)
-        counts = np.empty((len(pairs), len(pool)), dtype=np.int64)
+        ui, vi, known = self._resolve_endpoints(plan, pool)
+        base = np.zeros(len(pairs), dtype=np.int64)
+        gained = np.zeros((len(pairs), len(pool)), dtype=np.int64)
         for p_i, (s, t) in enumerate(pairs):
             if s == t:
-                counts[p_i] = batch.num_samples
+                base[p_i] = batch.num_samples
                 continue
             ti = plan.node_index(t)
             if s not in forward or ti is None:
-                counts[p_i] = 0
                 continue
-            already = forward[s][ti]
-            base = int(popcount(already).sum())
-            via = self._via_masks(plan, forward[s], reverse[t], endpoints)
-            new_hits = rows & via & ~already[None, :]
-            counts[p_i] = base + popcount(new_hits).sum(
+            fwd, rev = forward[s], reverse[t]
+            already = fwd[ti]
+            base[p_i] = popcount(already).sum()
+            # Per candidate: s⇝u AND v⇝t (plus the swap when undirected).
+            via = fwd[ui] & rev[vi]
+            if not plan.directed:
+                via |= fwd[vi] & rev[ui]
+            via[~known] = 0
+            # ~already sets pad bits, but coin rows keep pad bits zero, so
+            # the AND chain stays pad-clean and popcounts stay exact.
+            gained[p_i] = popcount(rows & via & ~already[None, :]).sum(
                 axis=1, dtype=np.int64
             )
-        return counts
+        return base, gained

@@ -17,6 +17,7 @@ from ..graph import UncertainGraph
 from ..reliability import ReliabilityEstimator, make_estimator
 from ..api import MaximizeQuery, Session, Solution
 from ..core import MultiSourceTargetMaximizer, eliminate_search_space
+from ..engine.selection import aggregate_name, aggregate_value
 from ..baselines import esssp_selection, ima_selection, eigenvalue_selection
 from ..baselines.common import (
     NewEdgeProbability,
@@ -195,12 +196,7 @@ def compare_methods_multi(
     )
 
     def evaluate(extra: Optional[List[ProbEdge]]) -> float:
-        values = eval_session.evaluate_pairs(pairs, extra)
-        if aggregate in ("avg", "average"):
-            return sum(values) / len(values)
-        if aggregate in ("min", "minimum"):
-            return min(values)
-        return max(values)
+        return aggregate_value(eval_session.evaluate_pairs(pairs, extra), aggregate)
 
     base_value = evaluate(None)
     solver = MultiSourceTargetMaximizer(
@@ -268,10 +264,7 @@ def _multi_hill_climbing(
     re-estimates.  Estimators without a backend (exact or third-party
     ones) keep the per-candidate loop.
     """
-    if aggregate not in (
-        "avg", "average", "min", "minimum", "max", "maximum"
-    ):
-        raise ValueError(f"unknown aggregate {aggregate!r}")
+    aggregate_name(aggregate)  # unknown aggregates fail on either path
     remaining = [(u, v, prob_model(u, v)) for u, v in candidates]
     kernel = selection_kernel_for(graph, estimator)
     if kernel is not None and remaining and pairs:
@@ -279,11 +272,7 @@ def _multi_hill_climbing(
 
     def objective(extra: List[ProbEdge]) -> float:
         values = estimator.pair_reliabilities(graph, list(pairs), extra or None)
-        if aggregate in ("avg", "average"):
-            return sum(values.values()) / len(values)
-        if aggregate in ("min", "minimum"):
-            return min(values.values())
-        return max(values.values())
+        return aggregate_value(values.values(), aggregate)
 
     selected: List[ProbEdge] = []
     while len(selected) < k and remaining:

@@ -229,6 +229,9 @@ class TestSessionValidation:
             (lambda g: Session(g, evaluation_samples=0), "evaluation_samples"),
             (lambda g: Session(g, evaluation_seed=-1), "evaluation_seed"),
             (lambda g: Session(g, l=0), "l"),
+            (lambda g: Session(g, r=0), "r"),
+            (lambda g: Session(g, r=-1), "r"),
+            (lambda g: Session(g, h=-1), "h"),
             (lambda g: Session(g).evaluate(0, 30, samples=0), "samples"),
             (lambda g: Session(g).evaluate(0, 0, seed=-1), "seed"),
             (lambda g: Session(g).evaluate_pairs([(0, 30)], samples=0),
@@ -236,7 +239,8 @@ class TestSessionValidation:
             (lambda g: Session(g).evaluate_pairs([(0, 30)], seed=-1), "seed"),
         ],
         ids=[
-            "evaluation_samples", "evaluation_seed", "l",
+            "evaluation_samples", "evaluation_seed", "l", "r-zero",
+            "r-negative", "h",
             "evaluate-samples", "evaluate-seed",
             "evaluate_pairs-samples", "evaluate_pairs-seed",
         ],

@@ -46,6 +46,11 @@ class TestCliDatasets:
     ["mrp", "--source", "0", "--target", "3", "-k", "0"],
     ["maximize", "--source", "0", "--target", "3", "-l", "0"],
     ["serve", "-l", "0"],
+    ["maximize", "--source", "0", "--target", "3", "-r", "0"],
+    ["maximize", "--source", "0", "--target", "3", "-r", "-1"],
+    ["serve", "-r", "-1"],
+    ["maximize", "--source", "0", "--target", "3", "--h", "-1"],
+    ["mrp", "--source", "0", "--target", "3", "--h", "-1"],
     ["maximize", "--source", "0", "--target", "3", "--zeta", "1.5"],
     ["maximize", "--source", "0", "--target", "3", "--zeta", "nan"],
     # The fixed new-edge model both commands build needs zeta > 0.
@@ -54,10 +59,10 @@ class TestCliDatasets:
     ["mrp", "--source", "0", "--target", "3", "--zeta", "0"],
 ])
 def test_numeric_flags_out_of_range_are_usage_errors(capsys, edge_file, argv):
-    """Every bounded numeric flag (sample budgets, seeds, -k, -l, zeta)
-    rejects out-of-range and malformed values at parse time: an argparse
-    usage error with exit 2, not a ValueError from deep inside the query
-    layer."""
+    """Every bounded numeric flag (sample budgets, seeds, -k, -r, -l,
+    --h, zeta) rejects out-of-range and malformed values at parse time:
+    an argparse usage error with exit 2, not a ValueError from deep
+    inside the query layer."""
     graph = [] if argv[0] == "datasets" else ["--file", edge_file]
     with pytest.raises(SystemExit) as exc:
         main([*argv, *graph])

@@ -116,9 +116,8 @@ class TestIncrementalMasks:
             row = kernel.candidate_rows(round_index, [edge], batch)[0]
             plan = extend_with_overlay(plan, [edge])
             batch = extend_batch(batch, row[None, :])
-            forward, reverse = kernel._advance_masks(
-                plan, batch, forward, reverse, edge, row
-            )
+            forward = kernel._advance_forward(plan, batch, forward, edge, row)
+            reverse = kernel._advance_reverse(plan, batch, reverse, edge, row)
             assert np.array_equal(forward, batch_reach(plan, batch, [src]))
             assert np.array_equal(
                 reverse, batch_reach(plan.reverse_view(), batch, [dst])
@@ -229,9 +228,19 @@ def forced_fixtures():
     star.add_edge(3, 5, 0.1)
     star.add_node(0)
     probs2 = {(0, 1): 0.9, (0, 2): 0.9, (0, 3): 0.9}
+
+    # The target 99 enters the graph only through a candidate: once
+    # round 0 commits (2, 99), the greedy must see that (1, 2) now
+    # reaches it, not keep treating the query as degenerate.
+    late_target = UncertainGraph()
+    late_target.add_edge(0, 1, 1.0)
+    for node in (2, 50, 51):
+        late_target.add_node(node)
+    probs3 = {(2, 99): 1.0, (50, 51): 0.5, (1, 2): 0.5}
     return [
         ("forced-tie-break", chains, 0, 5, 3, list(probs1), probs1),
         ("separated-gains", star, 0, 5, 2, list(probs2), probs2),
+        ("target-via-candidate", late_target, 0, 99, 2, list(probs3), probs3),
     ]
 
 
