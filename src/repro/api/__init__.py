@@ -26,7 +26,7 @@ a workload) and comes back as a :class:`MaximizeResult` wrapping a
 """
 
 from .delta import DeltaReport, GraphDelta
-from .queries import METHODS, MaximizeQuery, Query, ReliabilityQuery, Workload
+from .queries import METHODS, MaximizeQuery, Query, ReliabilityQuery, Workload, batch_key
 from .results import (
     MaximizeResult,
     Provenance,
@@ -45,6 +45,7 @@ __all__ = [
     "Query",
     "ReliabilityQuery",
     "Workload",
+    "batch_key",
     "MaximizeResult",
     "Provenance",
     "ReliabilityResult",

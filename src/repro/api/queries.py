@@ -197,6 +197,31 @@ class MaximizeQuery:
 
 Query = Union[ReliabilityQuery, MaximizeQuery]
 
+#: Batching key of a query: ``(estimator, samples, seed)``.
+BatchKey = Tuple[str, int, Optional[int]]
+
+
+def batch_key(query: Query, default_seed: Optional[int]) -> BatchKey:
+    """The ``(estimator, Z, seed)`` group a query batches in.
+
+    ``Session.run`` answers each group of reliability queries from one
+    world batch, and the shard pool routes by this key so a group stays
+    on one worker.  The estimator name is canonicalized through the
+    registry (aliases collapse onto their entry) and ``seed=None``
+    resolves to ``default_seed``.  Every maximize query maps to
+    ``("maximize", 0, None)``: their base evaluations batch together
+    regardless of configuration.
+
+    >>> batch_key(ReliabilityQuery(0, target=1, samples=400), 7)
+    ('mc', 400, 7)
+    >>> batch_key(MaximizeQuery(0, 1, k=2), 7)
+    ('maximize', 0, None)
+    """
+    if isinstance(query, MaximizeQuery):
+        return ("maximize", 0, None)
+    seed = query.seed if query.seed is not None else default_seed
+    return (estimator_spec(query.estimator).name, query.samples, seed)
+
 
 class Workload:
     """An ordered collection of queries answered against one graph.

@@ -31,11 +31,13 @@ import warnings
 from typing import (
     TYPE_CHECKING,
     Any,
+    Callable,
     Dict,
     List,
     Optional,
     Sequence,
     Tuple,
+    TypeVar,
     Union,
     cast,
 )
@@ -74,7 +76,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..index import IndexStore
     from ..index.breaker import CircuitBreaker
 from .delta import DeltaReport, GraphDelta
-from .queries import MaximizeQuery, Pair, Query, ReliabilityQuery, Workload
+from .queries import BatchKey, MaximizeQuery, Pair, Query, ReliabilityQuery, Workload, batch_key
 from .results import (
     MaximizeResult,
     Provenance,
@@ -84,6 +86,8 @@ from .results import (
 
 Result = Union[ReliabilityResult, MaximizeResult]
 
+_T = TypeVar("_T")
+
 #: Overlay edge: ``(u, v, probability)``.
 ProbEdge = Tuple[int, int, float]
 
@@ -91,6 +95,11 @@ ProbEdge = Tuple[int, int, float]
 #: these worlds unless the session is configured otherwise.
 DEFAULT_EVALUATION_SAMPLES = 1000
 DEFAULT_EVALUATION_SEED = 9_999
+
+#: Bound on the world-batch cache: at most this many distinct
+#: ``(Z, seed)`` batches are kept (FIFO eviction), so long-lived
+#: sessions serving heterogeneous workloads stay bounded in memory.
+_MAX_CACHED_BATCHES = 8
 
 #: Bound on the per-source reached-fixpoint cache: at most this many
 #: ``(n, W)`` reached matrices across all ``(Z, seed)`` batches,
@@ -133,11 +142,6 @@ class Session:
     r, l, h:
         Search-space parameters (Algorithm 4 / top-l paths / hop bound):
         ``r >= 1``, ``l >= 1``, and ``h >= 0`` or ``None`` (no bound).
-    max_cached_batches:
-        Bound on the world-batch cache: at most this many distinct
-        ``(Z, seed)`` batches are kept (FIFO eviction), so long-lived
-        sessions serving heterogeneous workloads stay bounded in
-        memory.
     store:
         Optional persistent index (:class:`repro.index.IndexStore`).
         World-batch lookup becomes a three-tier path — memory cache →
@@ -191,12 +195,9 @@ class Session:
         r: int = 100,
         l: int = 30,
         h: Optional[int] = None,
-        max_cached_batches: int = 8,
         store: Optional["IndexStore"] = None,
         store_breaker: Optional["CircuitBreaker"] = None,
     ) -> None:
-        if max_cached_batches < 1:
-            raise ValueError("max_cached_batches must be positive")
         _check_sampling(evaluation_samples, evaluation_seed, "evaluation_")
         if r < 1:
             raise ValueError(f"r must be positive, got {r!r}")
@@ -207,10 +208,10 @@ class Session:
         self.graph = graph
         self.seed = seed
         self.store = store
-        # Circuit breaker in front of the best-effort store wrappers: a
+        # Circuit breaker in front of every best-effort store call: a
         # dead store stops costing a round-trip per request.  Attached
-        # by default whenever a store is; pass an explicit breaker to
-        # tune thresholds (or inject a test clock).
+        # whenever a store is; pass an explicit breaker to tune
+        # thresholds (or inject a test clock).
         self.store_breaker: Optional["CircuitBreaker"] = None
         if store is not None:
             if store_breaker is None:
@@ -223,7 +224,6 @@ class Session:
         self.r = r
         self.l = l
         self.h = h
-        self.max_cached_batches = max_cached_batches
         # Registry name of the default selection estimator, when known:
         # maximize queries overriding samples/seed rebuild through it.
         self.estimator_name: Optional[str] = None
@@ -291,72 +291,48 @@ class Session:
     # ------------------------------------------------------------------
     # best-effort store access
     # ------------------------------------------------------------------
-    # The documented contract is "persistence is an optimization;
-    # serving must not fail".  IndexStore raises StoreError for every
-    # failure mode (lock timeouts, sqlite contention like 'database is
-    # locked' under multi-process result writes, a closed store), and
-    # these wrappers absorb it: reads degrade to misses, writes are
-    # dropped, and save_failures records that it happened.  The circuit
-    # breaker turns *consecutive* failures into skipped calls (same
-    # degraded semantics, none of the round-trip latency) until a
-    # half-open probe succeeds.  Each wrapper carries a fault seam so
-    # chaos tests drive these paths through the registry instead of
-    # monkeypatching.
+    def _store_call(
+        self, call: Callable[["IndexStore"], _T], default: _T
+    ) -> _T:
+        """``call(store)`` under the circuit breaker, or ``default``.
 
-    def _store_allowed(self) -> bool:
-        """Whether the breaker admits a store call right now."""
-        breaker = self.store_breaker
-        return breaker is None or breaker.allow()
-
-    def _store_ok(self) -> None:
-        breaker = self.store_breaker
-        if breaker is not None:
-            breaker.record_success()
-
-    def _store_failed(self) -> None:
-        breaker = self.store_breaker
-        if breaker is not None:
+        The documented contract is "persistence is an optimization;
+        serving must not fail".  :class:`~repro.index.IndexStore`
+        raises ``StoreError`` for every failure mode (lock timeouts,
+        sqlite contention like 'database is locked' under
+        multi-process result writes, a closed store); here it becomes
+        ``default`` — reads degrade to misses, writes are dropped — and
+        ``save_failures`` records that it happened.  The breaker turns
+        *consecutive* failures into skipped calls (same ``default``,
+        none of the round-trip latency) until a half-open probe
+        succeeds.  Without a store this returns ``default`` at once.
+        Every ``call`` starts with its own ``session.store.*`` fault
+        seam, so chaos tests drive these paths through the registry.
+        """
+        store, breaker = self.store, self.store_breaker
+        # The constructor attaches a breaker with every store.
+        if store is None or breaker is None or not breaker.allow():
+            return default
+        try:
+            value = call(store)
+        except StoreError:
+            store.counters.save_failures += 1
             breaker.record_failure()
+            return default
+        breaker.record_success()
+        return value
 
-    def _store_get_results(
-        self, estimator: str, pairs: Sequence[Pair], samples: int, seed: int
-    ) -> Dict[Pair, float]:
-        """Result-cache read; a store failure is an ordinary miss."""
-        store = self.store
-        assert store is not None  # callers gate on an attached store
-        if not self._store_allowed():
-            return {}
-        try:
-            fault_point("session.store.get_results", StoreError)
-            found = store.get_results(
-                self.graph_hash(), estimator, pairs, samples, seed
-            )
-        except StoreError:
-            store.counters.save_failures += 1
-            self._store_failed()
-            return {}
-        self._store_ok()
-        return found
+    def _save_batch(self, samples: int, seed: int, batch: "WorldBatch") -> bool:
+        """Persist ``batch`` under the current content hash (best-effort)."""
 
-    def _store_put_results(
-        self, estimator: str, values: Dict[Pair, float], samples: int,
-        seed: int,
-    ) -> None:
-        """Result-cache write-back; a store failure drops the entries."""
-        store = self.store
-        assert store is not None  # callers gate on an attached store
-        if not self._store_allowed():
-            return
-        try:
-            fault_point("session.store.put_results", StoreError)
-            store.put_results(
-                self.graph_hash(), estimator, values, samples, seed
+        def save(store: "IndexStore") -> bool:
+            fault_point("session.store.save_batch", StoreError)
+            store.save_batch(
+                self.graph_hash(), samples, seed, batch_to_words(batch)
             )
-        except StoreError:
-            store.counters.save_failures += 1
-            self._store_failed()
-            return
-        self._store_ok()
+            return True
+
+        return self._store_call(save, False)
 
     def _sync_version(self) -> None:
         if self._version != self.graph.version:
@@ -407,44 +383,26 @@ class Session:
         cached = self._worlds.get(key)
         if cached is not None:
             return cached[0], 0.0, "memory"
-        store = self.store
-        if store is not None and self._store_allowed():
-            start = time.perf_counter()
-            try:
-                fault_point("session.store.load_batch", StoreError)
-                words = store.load_batch(
-                    self.graph_hash(), samples, seed,
-                    expected_edges=plan.num_edges,
-                )
-            except StoreError:
-                # A broken catalog reads as a miss: fall through to
-                # fresh sampling.
-                store.counters.save_failures += 1
-                self._store_failed()
-                words = None
-            else:
-                self._store_ok()
-            if words is not None:
-                batch = batch_from_words(words, samples)
-                elapsed = time.perf_counter() - start
-                self._remember_batch(key, batch, elapsed)
-                return batch, elapsed, "store"
+
+        def load(store: "IndexStore") -> Optional["np.ndarray"]:
+            fault_point("session.store.load_batch", StoreError)
+            return store.load_batch(
+                self.graph_hash(), samples, seed,
+                expected_edges=plan.num_edges,
+            )
+
+        start = time.perf_counter()
+        # A broken catalog reads as a miss: fall through to sampling.
+        words = self._store_call(load, None)
+        if words is not None:
+            batch = batch_from_words(words, samples)
+            elapsed = time.perf_counter() - start
+            self._remember_batch(key, batch, elapsed)
+            return batch, elapsed, "store"
         start = time.perf_counter()
         batch = sample_worlds(plan, samples, np.random.default_rng(seed))
         elapsed = time.perf_counter() - start
-        if store is not None and self._store_allowed():
-            try:
-                fault_point("session.store.save_batch", StoreError)
-                store.save_batch(
-                    self.graph_hash(), samples, seed, batch_to_words(batch)
-                )
-            except StoreError:
-                # Persistence is an optimization; serving must not fail
-                # because another writer holds the store lock.
-                store.counters.save_failures += 1
-                self._store_failed()
-            else:
-                self._store_ok()
+        self._save_batch(samples, seed, batch)
         self._remember_batch(key, batch, elapsed)
         return batch, elapsed, "sampled"
 
@@ -461,7 +419,7 @@ class Session:
         """
         sanitize.freeze(batch.alive)
         sanitize.freeze(batch.valid)
-        while len(self._worlds) >= self.max_cached_batches:
+        while len(self._worlds) >= _MAX_CACHED_BATCHES:
             # FIFO eviction keeps long-lived heterogeneous sessions
             # bounded; dict preserves insertion order.
             self._worlds.pop(next(iter(self._worlds)))
@@ -568,21 +526,9 @@ class Session:
             self._remember_batch((samples, seed), new_batch, elapsed)
             if kept:
                 self._reach[(samples, seed)] = kept
-            if self.store is not None and self._store_allowed():
-                # Rekey under the post-delta content hash so the next
-                # restart (or shard) warm-starts on the edited graph.
-                try:
-                    fault_point("session.store.save_batch", StoreError)
-                    self.store.save_batch(
-                        self.graph_hash(), samples, seed,
-                        batch_to_words(new_batch),
-                    )
-                except StoreError:
-                    self.store.counters.save_failures += 1
-                    self._store_failed()
-                else:
-                    self._store_ok()
-                    persisted += 1
+            # Rekey under the post-delta content hash so the next
+            # restart (or shard) warm-starts on the edited graph.
+            persisted += self._save_batch(samples, seed, new_batch)
         self._trim_reach()
         return DeltaReport(
             strategy="repair",
@@ -717,7 +663,8 @@ class Session:
     def run(self, workload: Union[Workload, Sequence[Query]]) -> List[Result]:
         """Execute a workload; results align with query order.
 
-        Reliability queries are grouped by ``(estimator, Z, seed)``:
+        Reliability queries are grouped by their
+        :func:`~repro.api.queries.batch_key` ``(estimator, Z, seed)``:
         world-sharing groups are answered against one cached batch with
         one batch-BFS per distinct source; other estimators run
         per-query with a fresh, deterministically-seeded sampler.
@@ -733,21 +680,20 @@ class Session:
         self._sync_version()
         results: List[Optional[Result]] = [None] * len(workload)
 
-        groups: Dict[Tuple[str, int, int], List[Tuple[int, ReliabilityQuery]]] = {}
+        groups: Dict[BatchKey, List[Tuple[int, ReliabilityQuery]]] = {}
         maximize_members: List[Tuple[int, MaximizeQuery]] = []
         for index, query in enumerate(workload):
             if isinstance(query, MaximizeQuery):
                 maximize_members.append((index, query))
-                continue
-            seed = query.seed if query.seed is not None else self.seed
-            spec = estimator_spec(query.estimator)
-            groups.setdefault((spec.name, query.samples, seed), []).append(
-                (index, query)
-            )
+            else:
+                groups.setdefault(batch_key(query, self.seed), []).append(
+                    (index, query)
+                )
         if maximize_members:
             self._run_maximize_batch(maximize_members, results)
 
-        for (name, samples, seed), members in groups.items():
+        for (name, samples, key_seed), members in groups.items():
+            seed = cast(int, key_seed)  # batch_key resolved None to self.seed
             spec = estimator_spec(name)
             if spec.shares_worlds:
                 self._run_shared(name, samples, seed, members, results)
@@ -856,10 +802,15 @@ class Session:
         ``world_source`` is ``None`` when nothing was swept: a fully
         cached set of pairs never touches a plan or a world batch.
         """
-        cached: Dict[Pair, float] = {}
+
+        def get(store: "IndexStore") -> Dict[Pair, float]:
+            fault_point("session.store.get_results", StoreError)
+            return store.get_results(
+                self.graph_hash(), name, pairs, samples, seed
+            )
+
         start = time.perf_counter()
-        if self.store is not None:
-            cached = self._store_get_results(name, pairs, samples, seed)
+        cached = self._store_call(get, {})
         missing = [
             pair for pair in dict.fromkeys(pairs) if pair not in cached
         ]
@@ -878,8 +829,14 @@ class Session:
             self._trim_reach()
             solve_s += time.perf_counter() - start
             values.update(fresh)
-            if self.store is not None:
-                self._store_put_results(name, fresh, samples, seed)
+
+            def put(store: "IndexStore") -> None:
+                fault_point("session.store.put_results", StoreError)
+                store.put_results(
+                    self.graph_hash(), name, fresh, samples, seed
+                )
+
+            self._store_call(put, None)
         timings = Timings(
             compile_seconds=compile_s,
             sample_seconds=sample_s,

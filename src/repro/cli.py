@@ -35,6 +35,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Any, Callable, List, Optional, Sequence
@@ -213,6 +214,22 @@ def cmd_mrp(args: argparse.Namespace) -> int:
     return 0
 
 
+def _notify(message: str) -> None:
+    """Print a shutdown notice even when nobody reads stdout any more.
+
+    Once the reader of a piped stdout is gone, ``print`` raises
+    ``BrokenPipeError``.  Output then goes to ``os.devnull``, so this
+    and later notices — and the interpreter's final flush — succeed and
+    the exit status stays what the shutdown decided.
+    """
+    try:
+        print(message, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def cmd_serve(args: argparse.Namespace) -> int:
     """Start the coalescing HTTP server over one long-lived session.
 
@@ -251,7 +268,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             max_wait_ms=args.max_wait_ms,
             max_pending=args.max_pending or None,
             heartbeat_interval_s=args.heartbeat_interval_s,
-            heartbeat_timeout_s=4.0 * args.heartbeat_interval_s,
             replay_budget=args.replay_budget,
             store_path=args.store or None,
             **session_kwargs,
@@ -278,14 +294,16 @@ def cmd_serve(args: argparse.Namespace) -> int:
         stop_requested = asyncio.Event()
 
         def _on_signal() -> None:
+            # Act first: a notice that cannot be printed must not stop
+            # the shutdown.
             if not stop_requested.is_set():
-                print("\nsignal received: draining "
-                      "(send again to force quit)", flush=True)
                 stop_requested.set()
+                _notify("\nsignal received: draining "
+                        "(send again to force quit)")
             else:
-                print("\nsecond signal: forcing exit", flush=True)
                 for task in asyncio.all_tasks(loop):
                     task.cancel()
+                _notify("\nsecond signal: forcing exit")
 
         installed = []
         for sig in (signal.SIGINT, signal.SIGTERM):
@@ -338,13 +356,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 loop.remove_signal_handler(sig)
             if store is not None:
                 store.close()
-        print("drained cleanly", flush=True)
+        _notify("drained cleanly")
         return 0
 
     try:
         return asyncio.run(_run())
     except KeyboardInterrupt:  # non-POSIX fallback path
-        print("shutting down")
+        _notify("shutting down")
         return 0
 
 
@@ -508,32 +526,33 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--port", type=int, default=8321,
                          help="bind port (0 picks a free port)")
     p_serve.add_argument(
-        "--max-batch", type=int, default=64,
+        "--max-batch", type=_COUNT, default=64,
         help="flush a coalesced batch at this many pending queries",
     )
     p_serve.add_argument(
-        "--max-wait-ms", type=float, default=2.0,
+        "--max-wait-ms", type=_bounded(float, 0.0), default=2.0,
         help="coalescing window: max extra latency per request",
     )
     p_serve.add_argument(
-        "--max-pending", type=int, default=1024,
+        "--max-pending", type=_bounded(int, 0), default=1024,
         help="admission bound: shed requests (503 + Retry-After) once "
              "this many queries are pending or executing; 0 disables "
              "shedding",
     )
     p_serve.add_argument(
-        "--shards", type=int, default=1,
+        "--shards", type=_COUNT, default=1,
         help="worker-process count: >= 2 serves through a supervised "
              "shard pool with crash replay and two-phase graph swaps; "
              "1 (default) keeps the single in-process coalescer",
     )
     p_serve.add_argument(
-        "--heartbeat-interval-s", type=float, default=1.0,
+        "--heartbeat-interval-s", type=_bounded(float, 0.0, low_open=True),
+        default=1.0,
         help="shard-pool ping cadence; a worker silent for 4 intervals "
              "is declared dead, SIGKILLed and respawned",
     )
     p_serve.add_argument(
-        "--replay-budget", type=int, default=3,
+        "--replay-budget", type=_bounded(int, 0), default=3,
         help="shard deaths one request may survive (be replayed past) "
              "before failing with 503",
     )

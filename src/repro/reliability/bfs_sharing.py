@@ -88,13 +88,12 @@ class BFSSharingIndex(ReliabilityEstimator):
         self._check(graph)
         if source == target:
             return 1.0
-        if source not in graph:
-            return 0.0
         plan, batch = self._query_batch(extra_edges)
         src = plan.node_index(source)
         dst = plan.node_index(target)
         if src is None or dst is None:
-            # Node added to the graph after the snapshot was built: it is
+            # Named by neither the snapshot nor the overlay (e.g. added
+            # to the graph after the snapshot was built): it is
             # isolated in every stored world.
             return 0.0
         reached = batch_reach(plan, batch, [src], target_index=dst)

@@ -15,13 +15,14 @@ exactly that, in two layers:
     (gated by ``benchmarks/bench_serve_async.py``).
 :class:`ShardSupervisor`
     A self-healing pool of N worker processes (one ``AsyncSession``
-    each, stdlib socket IPC).  Requests route by a stable hash of the
-    same ``(estimator, Z, seed)`` key coalescing groups by, so
-    shared-world batching still fires within a shard; a shard death
-    (pipe EOF, heartbeat timeout, SIGKILL) triggers respawn under
-    doubling backoff and bit-for-bit replay of its in-flight requests
-    on a healthy shard.  Graph swaps broadcast in two phases
-    (prepare/commit) so the pool never answers from two graphs.
+    each, stdlib socket IPC).  Requests route by a stable hash of
+    :func:`repro.api.batch_key` — the ``(estimator, Z, seed)`` key
+    ``Session.run`` groups by — so shared-world batching still fires
+    within a shard; a shard death (pipe EOF, heartbeat timeout,
+    SIGKILL) triggers respawn under doubling backoff and bit-for-bit
+    replay of its in-flight requests on a healthy shard.  Graph swaps
+    and streaming deltas broadcast in two phases (prepare/commit) so
+    the pool never answers from two graphs.
 :class:`ReliabilityServer`
     A stdlib-only HTTP/1.1 JSON endpoint over an ``AsyncSession`` or
     ``ShardSupervisor``: ``POST /reliability``, ``POST /maximize``,
@@ -43,7 +44,6 @@ from .async_session import (
     DeadlineExceededError,
     OverloadedError,
     SessionClosedError,
-    split_batchable,
 )
 from .http import (
     HttpError,
@@ -63,7 +63,6 @@ from .shard import (
     ShardSpawnError,
     ShardSupervisor,
     SupervisorStats,
-    route_key,
     shard_index,
 )
 
@@ -75,7 +74,6 @@ __all__ = [
     "DeadlineExceededError",
     "OverloadedError",
     "SessionClosedError",
-    "split_batchable",
     "HttpError",
     "ReliabilityServer",
     "maximize_response",
@@ -91,6 +89,5 @@ __all__ = [
     "ShardSpawnError",
     "ShardSupervisor",
     "SupervisorStats",
-    "route_key",
     "shard_index",
 ]

@@ -21,9 +21,11 @@ Concurrency model
 All coalescer state is touched only from the event-loop thread; the
 blocking ``Session.run`` happens on a dedicated single-thread executor,
 so session caches (compiled plan, world batches) are only ever accessed
-by one thread at a time.  Graph hot-swaps (:meth:`AsyncSession.swap_graph`)
-run on the same executor and therefore serialize with in-flight batches:
-a batch sees either the old graph or the new one, never a mix.
+by one thread at a time.  Graph edits — hot-swaps
+(:meth:`AsyncSession.swap_graph`) and streaming deltas
+(:meth:`AsyncSession.apply_delta`) — run on the same executor and
+therefore serialize with in-flight batches: a batch sees either the old
+graph or the edited one, never a mix.
 """
 
 from __future__ import annotations
@@ -31,17 +33,19 @@ from __future__ import annotations
 import asyncio
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from types import TracebackType
-from typing import Any, List, Optional, Sequence, Tuple, Type, Union
+from typing import Any, Callable, List, Optional, Sequence, Type, TypeVar, Union
 
 from ..api import DeltaReport, GraphDelta, Query, Session, Workload
-from ..api.queries import MaximizeQuery, ReliabilityQuery
+from ..api.queries import ReliabilityQuery
 from ..api.results import MaximizeResult, ReliabilityResult
 from ..faults import fault_point
 from ..graph import UncertainGraph
 
 Result = Union[ReliabilityResult, MaximizeResult]
+
+_T = TypeVar("_T")
 
 #: Default coalescing window in milliseconds — long enough to collect a
 #: burst of concurrent requests, short enough to stay invisible next to
@@ -132,18 +136,7 @@ class CoalescerStats:
 
     def as_dict(self) -> dict:
         """Plain-dict view (what ``/healthz`` reports)."""
-        return {
-            "requests": self.requests,
-            "cancelled": self.cancelled,
-            "batches": self.batches,
-            "batched_requests": self.batched_requests,
-            "largest_batch": self.largest_batch,
-            "mean_batch_size": self.mean_batch_size,
-            "graph_swaps": self.graph_swaps,
-            "graph_deltas": self.graph_deltas,
-            "shed": self.shed,
-            "deadline_expired": self.deadline_expired,
-        }
+        return {**asdict(self), "mean_batch_size": self.mean_batch_size}
 
 
 @dataclass
@@ -377,81 +370,66 @@ class AsyncSession:
             seed=seed,
         ))
 
-    async def maximize(self, query: MaximizeQuery) -> MaximizeResult:
-        """Execute one maximize query through the coalescer.
-
-        Maximize queries batch their paired base evaluations with every
-        other maximize query in the same flush (one shared-world
-        ``evaluate_pairs`` pass), exactly as ``Session.run`` does.
-        """
-        return await self.submit(query)
-
     # ------------------------------------------------------------------
-    # graph hot-swap
+    # graph edits
     # ------------------------------------------------------------------
     async def swap_graph(self, graph: UncertainGraph) -> int:
         """Replace the served graph; returns the new graph's version.
 
-        The swap runs on the same single-thread executor as batch
-        execution, so it serializes with in-flight workloads: batches
-        flushed before the swap complete against the old graph, batches
-        flushed after it run against the new one.  Queries already
-        *pending* in the coalescing window are flushed first — a query
-        accepted while the old graph was being served must never
-        silently execute against the new one.  The session's compiled
-        plan and every cached world batch are evicted explicitly — two
-        distinct graph objects may share a ``version`` counter value,
-        so the version check alone cannot be trusted across a swap.
-        Entries in an attached persistent store need no eviction at
-        all: they are keyed by the graph's **content hash**
+        Serializes with in-flight workloads like every edit (see
+        :meth:`_edit`).  The session's compiled plan and every cached
+        world batch are evicted explicitly — two distinct graph objects
+        may share a ``version`` counter value, so the version check
+        alone cannot be trusted across a swap.  Entries in an attached
+        persistent store need no eviction at all: they are keyed by the
+        graph's **content hash**
         (:meth:`repro.graph.UncertainGraph.content_hash`), so the new
         graph simply reads and writes its own namespace — the
         version-collision hazard cannot reach the disk tier.
         """
-        if self._closed:
-            raise SessionClosedError("AsyncSession is closed")
-        loop = asyncio.get_running_loop()
-        if self._pending:
-            # Pin pre-swap submissions to the old graph: their batch is
-            # enqueued on the executor ahead of the swap job.
-            self._flush(loop)
 
         def _swap() -> int:
             self.session.graph = graph
             self.session.invalidate()
             return graph.version
 
-        version = await loop.run_in_executor(self._executor, _swap)
+        version = await self._edit(_swap)
         self.stats.graph_swaps += 1
         return version
 
     async def apply_delta(self, delta: GraphDelta) -> DeltaReport:
         """Apply streaming edge edits to the served graph in place.
 
-        Like :meth:`swap_graph`, the edit runs on the single-thread
-        executor and therefore serializes with in-flight workloads:
-        batches flushed before the delta answer against the pre-edit
-        graph, batches flushed after it against the post-edit graph —
-        never a mix.  Pending coalesced queries are flushed first for
-        the same reason as in :meth:`swap_graph`.  Unlike a swap, the
-        session keeps (and repairs) its cached world batches via
+        Serializes with in-flight workloads like every edit (see
+        :meth:`_edit`).  Unlike a swap, the session keeps (and
+        repairs) its cached world batches via
         :meth:`repro.api.Session.apply_delta`; the returned
         :class:`~repro.api.DeltaReport` says whether repair or eviction
-        ran.
+        ran.  A delete naming an absent edge raises :class:`KeyError`
+        and leaves the graph untouched.
+        """
+        report = await self._edit(lambda: self.session.apply_delta(delta))
+        self.stats.graph_deltas += 1
+        return report
+
+    async def _edit(self, edit: Callable[[], _T]) -> _T:
+        """Flush pending queries, then run ``edit`` on the worker thread.
+
+        The edit runs on the same single-thread executor as batch
+        execution, so it serializes with in-flight workloads: batches
+        flushed before it answer against the old graph, batches flushed
+        after it against the edited one.  Queries already *pending* in
+        the coalescing window are flushed first — their batch is
+        enqueued ahead of the edit — because a query accepted while the
+        old graph was served must never silently execute against the
+        edited one.
         """
         if self._closed:
             raise SessionClosedError("AsyncSession is closed")
         loop = asyncio.get_running_loop()
         if self._pending:
-            # Pin pre-delta submissions to the pre-edit graph.
             self._flush(loop)
-
-        def _apply() -> DeltaReport:
-            return self.session.apply_delta(delta)
-
-        report = await loop.run_in_executor(self._executor, _apply)
-        self.stats.graph_deltas += 1
-        return report
+        return await loop.run_in_executor(self._executor, edit)
 
     @property
     def graph(self) -> UncertainGraph:
@@ -615,48 +593,3 @@ class AsyncSession:
     ) -> None:
         """Close the session on context exit."""
         await self.close()
-
-
-def split_batchable(
-    queries: Sequence[Query],
-    session_seed: Optional[int] = None,
-) -> List[Tuple[Tuple[str, int, Optional[int]], List[Query]]]:
-    """Group queries the way ``Session.run`` will batch them.
-
-    Purely diagnostic — the session does its own grouping — but useful
-    for asserting coalescing behavior in tests and for capacity
-    planning.  Keys are resolved exactly as the session resolves them:
-    the estimator name is canonicalized through the registry (aliases
-    collapse onto their entry) and ``seed=None`` resolves to
-    ``session_seed``, so a ``seed=None`` query and an explicit
-    ``seed=session_seed`` query land in the same group.  Maximize
-    queries land in a single ``("maximize", 0, None)`` group because
-    their base evaluations batch together regardless of configuration.
-
-    Parameters
-    ----------
-    queries : sequence of queries
-        The queries of one coalesced batch.
-    session_seed : int or None, optional
-        The session's default seed, used to resolve per-query
-        ``seed=None``.  ``None`` keeps unresolved seeds distinct from
-        every explicit seed.
-
-    Returns
-    -------
-    list of ((estimator, samples, seed), queries)
-        Insertion-ordered groups.
-    """
-    from ..reliability import estimator_spec  # local: avoid import cycle
-
-    groups: dict = {}
-    for query in queries:
-        if isinstance(query, MaximizeQuery):
-            key = ("maximize", 0, None)
-        else:
-            seed = query.seed
-            if seed is None and session_seed is not None:
-                seed = session_seed
-            key = (estimator_spec(query.estimator).name, query.samples, seed)
-        groups.setdefault(key, []).append(query)
-    return list(groups.items())

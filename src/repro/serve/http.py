@@ -43,7 +43,7 @@ import asyncio
 import json
 import math
 from dataclasses import asdict
-from typing import Any, Optional, Tuple, Union
+from typing import Any, Awaitable, Optional, Tuple, TypeVar, Union
 
 from .. import faults
 from ..api import GraphDelta, Session
@@ -72,7 +72,9 @@ MAX_HEADER_BYTES = 64 * 1024
 #: Idle/slow-client bound: a connection that takes longer than this to
 #: deliver one complete request (or to send its next keep-alive
 #: request) is closed, so stalled sockets cannot pin server tasks.
-DEFAULT_READ_TIMEOUT_S = 60.0
+_READ_TIMEOUT_S = 60.0
+
+_T = TypeVar("_T")
 
 
 class HttpError(Exception):
@@ -367,10 +369,6 @@ class ReliabilityServer:
         ``AsyncSession`` is passed in directly.  ``max_pending`` bounds
         admission: excess requests are shed with ``503`` plus a
         ``Retry-After`` header instead of queueing without bound.
-    read_timeout_s : float or None, optional
-        Close a connection whose next request is not fully received
-        within this many seconds (slow-loris guard).  ``None`` disables
-        the bound.
     **session_kwargs
         Forwarded to the :class:`~repro.api.Session` constructor when
         ``target`` is a graph (``seed``, ``estimator``, ``store``,
@@ -406,7 +404,6 @@ class ReliabilityServer:
         max_batch: int = DEFAULT_MAX_BATCH,
         max_wait_ms: float = DEFAULT_MAX_WAIT_MS,
         max_pending: Optional[int] = None,
-        read_timeout_s: Optional[float] = DEFAULT_READ_TIMEOUT_S,
         **session_kwargs: Any,
     ) -> None:
         if isinstance(target, (AsyncSession, ShardSupervisor)):
@@ -428,7 +425,6 @@ class ReliabilityServer:
             self._owns_serving = True
         self.host = host
         self.port = port
-        self.read_timeout_s = read_timeout_s
         self._server: Optional[asyncio.AbstractServer] = None
         self._draining = False
         # Open connections and whether each is mid-request: drain
@@ -521,7 +517,11 @@ class ReliabilityServer:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
-        """Serve one client connection (HTTP/1.1 keep-alive loop)."""
+        """Serve one client connection (HTTP/1.1 keep-alive loop).
+
+        A connection whose next request is not fully received within
+        :data:`_READ_TIMEOUT_S` is closed (slow-loris guard).
+        """
         task = asyncio.current_task()
         if task is not None:
             self._handler_tasks.add(task)
@@ -531,7 +531,7 @@ class ReliabilityServer:
                 try:
                     fault_point("serve.http.read", ConnectionError)
                     request = await asyncio.wait_for(
-                        _read_request(reader), timeout=self.read_timeout_s
+                        _read_request(reader), timeout=_READ_TIMEOUT_S
                     )
                 except asyncio.TimeoutError:
                     break  # idle or slow-drip client: reclaim the task
@@ -541,7 +541,7 @@ class ReliabilityServer:
                             writer, error.status, {"error": error.message},
                             keep_alive=False, headers=error.headers,
                         ),
-                        timeout=self.read_timeout_s,
+                        timeout=_READ_TIMEOUT_S,
                     )
                     break
                 if request is None:
@@ -566,7 +566,7 @@ class ReliabilityServer:
                         writer, status, payload,
                         keep_alive=keep_alive, headers=headers,
                     ),
-                    timeout=self.read_timeout_s,
+                    timeout=_READ_TIMEOUT_S,
                 )
                 self._connections[writer] = False
                 if not keep_alive:
@@ -591,29 +591,24 @@ class ReliabilityServer:
             return 200, self._healthz()
         if route == ("POST", "/reliability"):
             query = parse_reliability_query(request.json())
-            result = await self._submit(query)
+            result = await self._call(self.serving.submit(query))
             return 200, reliability_response(result)
         if route == ("POST", "/maximize"):
             query = parse_maximize_query(request.json())
-            result = await self._submit(query)
+            result = await self._call(self.serving.submit(query))
             return 200, maximize_response(result)
         if route == ("POST", "/graph"):
             graph = parse_graph(request.json())
-            try:
-                version = await self.serving.swap_graph(graph)
-            except SessionClosedError as error:
-                raise HttpError(503, str(error)) from None
+            version = await self._call(self.serving.swap_graph(graph))
             return 200, {"status": "swapped", "graph": self._graph_info(version)}
         if route == ("PATCH", "/edges"):
             delta = parse_delta(request.json())
             try:
-                report = await self.serving.apply_delta(delta)
+                report = await self._call(self.serving.apply_delta(delta))
             except KeyError as error:
                 # A delete naming an absent edge: the graph is untouched
                 # (GraphDelta.validate runs before any mutation).
                 raise HttpError(400, f"bad delta: {error}") from None
-            except SessionClosedError as error:
-                raise HttpError(503, str(error)) from None
             return 200, {
                 "status": "patched",
                 "report": report.as_dict(),
@@ -625,25 +620,25 @@ class ReliabilityServer:
                                  f"for {request.path}")
         raise HttpError(404, f"unknown path {request.path}")
 
-    async def _submit(self, query: Any) -> Any:
-        """Submit to the coalescer, mapping resilience errors to HTTP.
+    async def _call(self, call: Awaitable[_T]) -> _T:
+        """Await a serving call, mapping resilience errors to HTTP.
 
         Every retryable 503 — a shed (``OverloadedError``), a
-        closed/draining coalescer (``SessionClosedError``), a request
-        that exhausted its crash-replay budget (``ShardCrashError``) —
-        carries a ``Retry-After`` derived from the server's actual
-        coalescing window (:func:`retry_after_seconds`); an expired
-        per-request deadline (``DeadlineExceededError``) maps to 504.
+        closed/draining serving target (``SessionClosedError``), a
+        request that exhausted its crash-replay budget
+        (``ShardCrashError``) — carries a ``Retry-After`` derived from
+        the server's actual coalescing window
+        (:func:`retry_after_seconds`), whether the call was a query or
+        a graph edit; an expired per-request deadline
+        (``DeadlineExceededError``) maps to 504.
         """
-        retry_after = {"Retry-After": str(retry_after_seconds(self.serving.max_wait_ms))}
         try:
-            return await self.serving.submit(query)
-        except OverloadedError as error:
-            raise HttpError(503, str(error), headers=retry_after) from None
-        except ShardCrashError as error:
-            raise HttpError(503, str(error), headers=retry_after) from None
-        except SessionClosedError as error:
-            raise HttpError(503, str(error), headers=retry_after) from None
+            return await call
+        except (OverloadedError, ShardCrashError, SessionClosedError) as error:
+            retry_after = retry_after_seconds(self.serving.max_wait_ms)
+            raise HttpError(
+                503, str(error), headers={"Retry-After": str(retry_after)}
+            ) from None
         except DeadlineExceededError as error:
             raise HttpError(504, str(error)) from None
 

@@ -7,20 +7,22 @@ spreads the load over ``N`` worker *processes* — each one owning its
 own :class:`repro.api.Session` + :class:`AsyncSession` — while keeping
 the two properties that make the serving layer trustworthy:
 
-**Deterministic routing.**  Requests are routed by a stable hash of the
-same ``(estimator, Z, seed)`` key that :func:`split_batchable` uses for
-coalescing, so concurrently arriving requests that *would* share a
-possible-world batch in a single-process server still land on the same
-shard and still share one coin-flip pass there.  Routing depends only
-on the query, never on load, so a replayed request reproduces the
-original shard's answer bit-for-bit on any other shard.
+**Deterministic routing.**  Requests are routed by a stable hash of
+their :func:`~repro.api.batch_key` — the ``(estimator, Z, seed)`` group
+``Session.run`` batches by — so concurrently arriving requests that
+*would* share a possible-world batch in a single-process server still
+land on the same shard and still share one coin-flip pass there.
+Routing depends only on the query, never on load, so a replayed
+request reproduces the original shard's answer bit-for-bit on any
+other shard.
 
 **Exactness-preserving crash recovery.**  Everything below the session
 is deterministic in ``(graph content, estimator, Z, seed)``, so a
 request is safe to replay.  The supervisor detects shard death three
 ways — pipe EOF (SIGKILL, crash), heartbeat timeout (hang, SIGSTOP),
 and IPC write failure — then SIGKILLs the remains, respawns the worker
-under doubling backoff, and transparently re-dispatches the dead
+under doubling backoff (reset once a worker has stayed up
+:data:`_BACKOFF_RESET_S`), and transparently re-dispatches the dead
 shard's in-flight requests to a healthy shard (or parks them until one
 respawns).  A crash mid-burst yields zero failed responses; replayed
 responses are bit-for-bit equal to one-off ``Session.run`` calls.
@@ -38,17 +40,16 @@ runs an asyncio loop and holds locks), and the child's socket end is
 passed as a ``Process`` argument via multiprocessing's fd-passing
 reduction.
 
-Graph hot-swap is a two-phase broadcast: phase one ships the new graph
-to every shard (``prepare``), phase two flips them over (``commit``).
-A shard that dies mid-swap is respawned directly on the pending graph,
-so it counts as both prepared and committed; clients never observe a
-pool that answers from two different graphs after a swap returns.
-Streaming deltas (:meth:`ShardSupervisor.apply_delta`) ride the same
-two-phase machinery: the prepare frame carries the
-:class:`~repro.api.GraphDelta` instead of a whole graph, each worker's
-commit repairs its session caches in place, and a shard that dies
-mid-delta respawns directly on the supervisor's precomputed post-delta
-graph — a fresh session needs no repair.
+Graph edits — a hot-swap (:meth:`ShardSupervisor.swap_graph`) or a
+streaming delta (:meth:`ShardSupervisor.apply_delta`) — are one
+two-phase broadcast: phase one ships the change (the new graph, or the
+small :class:`~repro.api.GraphDelta`) to every shard (``prepare``),
+phase two flips them over (``commit``; a delta commit repairs the
+worker's session caches in place).  The supervisor builds the
+post-edit graph first, and a shard that dies mid-edit is respawned
+directly on it, so it counts as both prepared and committed (a fresh
+session needs no repair); clients never observe a pool that answers
+from two different graphs after an edit returns.
 
 Fault seams ``shard.spawn``, ``shard.heartbeat``, ``shard.ipc.read``
 and ``shard.ipc.write`` (see :mod:`repro.faults`) let the chaos suite
@@ -66,12 +67,12 @@ import signal
 import socket
 import struct
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from types import TracebackType
-from typing import Any, Dict, List, Optional, Tuple, Type, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Type, Union
 
-from ..api import DeltaReport, GraphDelta, Query, Session, Workload
-from ..api.queries import MaximizeQuery
+from ..api import DeltaReport, GraphDelta, Query, Session, Workload, batch_key
+from ..api.queries import BatchKey
 from ..faults import fault_point
 from ..graph import UncertainGraph
 from .async_session import (
@@ -90,6 +91,24 @@ _FRAME_HEADER = struct.Struct(">I")
 #: error, not a graph (a multi-million-edge graph pickles well below
 #: this).
 _MAX_FRAME_BYTES = 1 << 30
+
+#: A worker silent for this many heartbeat intervals is declared dead.
+_HEARTBEAT_TIMEOUT_INTERVALS = 4.0
+
+#: Initial and maximum delay between respawn attempts (doubling).
+_RESPAWN_BACKOFF_S = 0.05
+_RESPAWN_BACKOFF_CEILING_S = 2.0
+
+#: Uptime after which a dead shard's backoff restarts from
+#: :data:`_RESPAWN_BACKOFF_S`: guards against crash-loop spin without
+#: penalizing a one-off kill.
+_BACKOFF_RESET_S = 5.0
+
+#: Deadline for a spawned worker's ``ready`` handshake.
+_SPAWN_TIMEOUT_S = 60.0
+
+#: How long :meth:`ShardSupervisor.close` waits for in-flight answers.
+_DRAIN_TIMEOUT_S = 10.0
 
 
 class ShardError(RuntimeError):
@@ -148,38 +167,7 @@ def _portable_error(error: BaseException) -> BaseException:
 # ----------------------------------------------------------------------
 
 
-def route_key(query: Query, session_seed: Optional[int]) -> Tuple[str, int, Optional[int]]:
-    """Coalescing key of ``query`` — the unit the router keeps together.
-
-    Exactly the key :func:`split_batchable` groups by: estimator name
-    canonicalized through the registry, sample count, and the seed with
-    per-query ``None`` resolved to the session default.  Maximize
-    queries collapse onto one key because their base evaluations batch
-    together regardless of configuration.
-
-    Parameters
-    ----------
-    query : ReliabilityQuery or MaximizeQuery
-        The query to route.
-    session_seed : int or None
-        The worker sessions' default seed (resolves ``seed=None``).
-
-    Returns
-    -------
-    (estimator, samples, seed)
-        A stable, hashable routing key.
-    """
-    from ..reliability import estimator_spec  # local: avoid import cycle
-
-    if isinstance(query, MaximizeQuery):
-        return ("maximize", 0, None)
-    seed = query.seed
-    if seed is None and session_seed is not None:
-        seed = session_seed
-    return (estimator_spec(query.estimator).name, query.samples, seed)
-
-
-def shard_index(key: Tuple[str, int, Optional[int]], num_shards: int) -> int:
+def shard_index(key: BatchKey, num_shards: int) -> int:
     """Map a routing key onto a shard index with a stable hash.
 
     Uses the first 8 bytes of SHA-256 over ``repr(key)`` so the mapping
@@ -190,7 +178,7 @@ def shard_index(key: Tuple[str, int, Optional[int]], num_shards: int) -> int:
     Parameters
     ----------
     key : (estimator, samples, seed)
-        Routing key from :func:`route_key`.
+        Routing key from :func:`~repro.api.batch_key`.
     num_shards : int
         Pool size.
 
@@ -235,7 +223,8 @@ async def _shard_worker(sock: socket.socket, graph: UncertainGraph, options: Dic
         max_pending=None,  # the supervisor owns admission control
     )
     write_lock = asyncio.Lock()
-    pending_graphs: Dict[int, Union[UncertainGraph, GraphDelta]] = {}
+    # The prepared ``(generation, new graph or GraphDelta)``, if any.
+    staged: Optional[Tuple[int, Union[UncertainGraph, GraphDelta]]] = None
     tasks: set = set()
 
     async def send(kind: str, payload: object) -> None:
@@ -260,13 +249,15 @@ async def _shard_worker(sock: socket.socket, graph: UncertainGraph, options: Dic
             await send("result", (request_id, True, result))
 
     async def commit(generation: int) -> None:
-        pending = pending_graphs.pop(generation, None)
-        if isinstance(pending, GraphDelta):
-            # Streaming edit: repair this worker's session caches in
-            # place instead of evicting them via a full swap.
-            await serving.apply_delta(pending)
-        elif pending is not None:
-            await serving.swap_graph(pending)
+        nonlocal staged
+        if staged is not None and staged[0] == generation:
+            change, staged = staged[1], None
+            if isinstance(change, GraphDelta):
+                # Streaming edit: repair this worker's session caches
+                # in place instead of evicting them via a full swap.
+                await serving.apply_delta(change)
+            else:
+                await serving.swap_graph(change)
         await send("committed", generation)
 
     await send("ready", {"pid": os.getpid(), "index": options.get("index", -1)})
@@ -282,12 +273,10 @@ async def _shard_worker(sock: socket.socket, graph: UncertainGraph, options: Dic
             elif kind == "ping":
                 spawn(send("pong", payload))
             elif kind == "prepare":
-                generation, staged = payload  # whole graph or GraphDelta
-                # One swap at a time (the supervisor serializes them):
-                # a newer prepare obsoletes any stale pending payload.
-                pending_graphs.clear()
-                pending_graphs[generation] = staged
-                spawn(send("prepared", generation))
+                # One edit at a time (the supervisor serializes them):
+                # a newer prepare replaces any stale staged change.
+                staged = payload
+                spawn(send("prepared", payload[0]))
             elif kind == "commit":
                 spawn(commit(payload))
             elif kind == "stats":
@@ -368,18 +357,7 @@ class SupervisorStats:
 
     def as_dict(self) -> Dict[str, int]:
         """Return the counters as a plain dict (JSON-ready)."""
-        return {
-            "requests": self.requests,
-            "shed": self.shed,
-            "replays": self.replays,
-            "crashed": self.crashed,
-            "respawns": self.respawns,
-            "spawn_failures": self.spawn_failures,
-            "deaths": self.deaths,
-            "heartbeat_timeouts": self.heartbeat_timeouts,
-            "graph_swaps": self.graph_swaps,
-            "graph_deltas": self.graph_deltas,
-        }
+        return asdict(self)
 
 
 class _Inflight:
@@ -395,7 +373,7 @@ class _Inflight:
 class _Shard:
     """Supervisor-side handle for one worker process."""
 
-    def __init__(self, index: int, backoff_s: float) -> None:
+    def __init__(self, index: int) -> None:
         self.index = index
         self.live = False
         self.process: Optional[multiprocessing.process.BaseProcess] = None
@@ -408,7 +386,7 @@ class _Shard:
         self.inflight: Dict[int, _Inflight] = {}
         self.acks: Dict[Tuple[str, int], "asyncio.Future[Any]"] = {}
         self.generation = 0
-        self.backoff_s = backoff_s
+        self.backoff_s = _RESPAWN_BACKOFF_S
         self.respawns = 0
         self.spawned_at = 0.0
         self.last_seen = 0.0
@@ -419,10 +397,11 @@ class ShardSupervisor:
     """Supervised pool of ``num_shards`` worker processes.
 
     Drop-in serving target for :class:`repro.serve.ReliabilityServer`:
-    exposes the same ``submit`` / ``swap_graph`` / ``close`` surface as
-    :class:`AsyncSession`, but spreads requests over worker processes,
-    survives worker crashes by replaying in-flight requests, and keeps
-    graph swaps atomic across the pool via a two-phase broadcast.
+    exposes the same ``submit`` / ``swap_graph`` / ``apply_delta`` /
+    ``close`` surface as :class:`AsyncSession`, but spreads requests
+    over worker processes, survives worker crashes by replaying
+    in-flight requests, and keeps graph edits atomic across the pool
+    via a two-phase broadcast.
 
     Parameters
     ----------
@@ -436,27 +415,17 @@ class ShardSupervisor:
     max_pending : int or None, optional
         Pool-wide admission cap; beyond it submissions are shed with
         :class:`OverloadedError` (workers themselves never shed).
-    heartbeat_interval_s, heartbeat_timeout_s : float, optional
-        Ping cadence and the staleness beyond which a silent worker is
-        declared dead and SIGKILLed.
+    heartbeat_interval_s : float, optional
+        Ping cadence (> 0).  A worker silent for
+        :data:`_HEARTBEAT_TIMEOUT_INTERVALS` intervals is declared dead
+        and SIGKILLed.
     replay_budget : int, optional
         How many shard deaths one request may survive (be replayed
         past) before failing typed with :class:`ShardCrashError`.
-    respawn_backoff_s, respawn_backoff_ceiling_s : float, optional
-        Initial and maximum delay between respawn attempts (doubling).
-        The backoff resets once a worker stays up ``backoff_reset_s``.
-    backoff_reset_s : float, optional
-        Uptime after which a shard's backoff resets to the initial
-        value (guards against crash-loop spin without penalizing a
-        one-off kill).
-    spawn_timeout_s : float, optional
-        Deadline for a spawned worker's ``ready`` handshake.
     store_path : str or None, optional
         Directory of a shared :class:`repro.index.IndexStore`; each
         worker opens its own handle (flock + breakers handle
         contention).
-    drain_timeout_s : float, optional
-        How long :meth:`close` waits for in-flight answers.
     **session_kwargs
         Forwarded to each worker's :class:`repro.api.Session`
         (``seed``, ``estimator``, sample budgets, ...).
@@ -470,40 +439,30 @@ class ShardSupervisor:
         max_wait_ms: float = DEFAULT_MAX_WAIT_MS,
         max_pending: Optional[int] = None,
         heartbeat_interval_s: float = 1.0,
-        heartbeat_timeout_s: float = 5.0,
         replay_budget: int = 3,
-        respawn_backoff_s: float = 0.05,
-        respawn_backoff_ceiling_s: float = 2.0,
-        backoff_reset_s: float = 5.0,
-        spawn_timeout_s: float = 60.0,
         store_path: Optional[str] = None,
-        drain_timeout_s: float = 10.0,
         **session_kwargs: Any,
     ) -> None:
         if num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {num_shards}")
         if replay_budget < 0:
             raise ValueError(f"replay_budget must be >= 0, got {replay_budget}")
-        if heartbeat_timeout_s <= heartbeat_interval_s:
-            raise ValueError("heartbeat_timeout_s must exceed heartbeat_interval_s")
+        if not heartbeat_interval_s > 0:
+            raise ValueError(
+                f"heartbeat_interval_s must be > 0, got {heartbeat_interval_s}"
+            )
         self._graph = graph
         self.num_shards = num_shards
         self.max_batch = max_batch
         self.max_wait_ms = max_wait_ms
         self.max_pending = max_pending
         self.heartbeat_interval_s = heartbeat_interval_s
-        self.heartbeat_timeout_s = heartbeat_timeout_s
         self.replay_budget = replay_budget
-        self.respawn_backoff_s = respawn_backoff_s
-        self.respawn_backoff_ceiling_s = respawn_backoff_ceiling_s
-        self.backoff_reset_s = backoff_reset_s
-        self.spawn_timeout_s = spawn_timeout_s
         self.store_path = store_path
-        self.drain_timeout_s = drain_timeout_s
         self.session_kwargs = dict(session_kwargs)
         self.stats = SupervisorStats()
         self._session_seed: Optional[int] = session_kwargs.get("seed", 0)
-        self._shards = [_Shard(i, respawn_backoff_s) for i in range(num_shards)]
+        self._shards = [_Shard(i) for i in range(num_shards)]
         self._parked: List[_Inflight] = []
         self._next_request_id = 0
         self._generation = 0
@@ -553,8 +512,8 @@ class ShardSupervisor:
 
         Idempotent.  Parked requests that never reached a worker fail
         typed with :class:`SessionClosedError`; in-flight requests get
-        up to ``drain_timeout_s`` to finish (workers flush and answer
-        their pending batches on shutdown).
+        up to :data:`_DRAIN_TIMEOUT_S` to finish (workers flush and
+        answer their pending batches on shutdown).
         """
         if self._closed:
             return
@@ -583,7 +542,7 @@ class ShardSupervisor:
                 except (ShardError, ConnectionError, RuntimeError):
                     pass
         if waiting:
-            await asyncio.wait(waiting, timeout=self.drain_timeout_s)
+            await asyncio.wait(waiting, timeout=_DRAIN_TIMEOUT_S)
         self._wake_topology_waiters()
         loop = asyncio.get_running_loop()
         for shard in self._shards:
@@ -654,7 +613,7 @@ class ShardSupervisor:
                 process.kill()
             raise ShardSpawnError(f"shard {shard.index}: spawn failed: {error}") from error
         try:
-            kind, payload = await asyncio.wait_for(_read_frame(reader), self.spawn_timeout_s)
+            kind, payload = await asyncio.wait_for(_read_frame(reader), _SPAWN_TIMEOUT_S)
             if kind != "ready":
                 raise ShardError(f"expected ready handshake, got {kind!r}")
         except BaseException as error:
@@ -717,7 +676,7 @@ class ShardSupervisor:
             if not shard.live:
                 return
             age = time.monotonic() - shard.last_seen
-            if age > self.heartbeat_timeout_s:
+            if age > _HEARTBEAT_TIMEOUT_INTERVALS * self.heartbeat_interval_s:
                 self.stats.heartbeat_timeouts += 1
                 await self._on_shard_death(shard, f"heartbeat timeout ({age:.1f}s silent)")
                 return
@@ -736,6 +695,8 @@ class ShardSupervisor:
             return
         shard.live = False
         self.stats.deaths += 1
+        if time.monotonic() - shard.spawned_at >= _BACKOFF_RESET_S:
+            shard.backoff_s = _RESPAWN_BACKOFF_S  # a stable run: start over
         current = asyncio.current_task()
         for task in (shard.reader_task, shard.heartbeat_task):
             if task is not None and task is not current:
@@ -778,7 +739,7 @@ class ShardSupervisor:
     async def _respawn(self, shard: _Shard) -> None:
         while not self._closed:
             delay = shard.backoff_s
-            shard.backoff_s = min(shard.backoff_s * 2.0, self.respawn_backoff_ceiling_s)
+            shard.backoff_s = min(shard.backoff_s * 2.0, _RESPAWN_BACKOFF_CEILING_S)
             await asyncio.sleep(delay)
             if self._closed:
                 return
@@ -810,11 +771,17 @@ class ShardSupervisor:
 
     # -- request path --------------------------------------------------
 
+    def _check_running(self) -> None:
+        if self._closed:
+            raise SessionClosedError("ShardSupervisor is closed")
+        if not self._started:
+            raise RuntimeError("ShardSupervisor.start() has not run")
+
     def _load(self) -> int:
         return sum(len(s.inflight) for s in self._shards) + len(self._parked)
 
     def _pick_shard(self, query: Query) -> Optional[_Shard]:
-        home = shard_index(route_key(query, self._session_seed), self.num_shards)
+        home = shard_index(batch_key(query, self._session_seed), self.num_shards)
         for offset in range(self.num_shards):
             shard = self._shards[(home + offset) % self.num_shards]
             if shard.live:
@@ -888,10 +855,7 @@ class ShardSupervisor:
         ShardCrashError
             The request exhausted its replay budget.
         """
-        if self._closed:
-            raise SessionClosedError("ShardSupervisor is closed")
-        if not self._started:
-            raise RuntimeError("ShardSupervisor.start() has not run")
+        self._check_running()
         Workload._check(query)
         self.stats.requests += 1
         if self.max_pending is not None and self._load() >= self.max_pending:
@@ -906,17 +870,14 @@ class ShardSupervisor:
         await self._dispatch(entry)
         return await entry.future
 
-    # -- two-phase graph swap ------------------------------------------
+    # -- two-phase graph edits -----------------------------------------
 
     async def swap_graph(self, graph: UncertainGraph) -> int:
         """Atomically swap every shard onto ``graph`` (two-phase).
 
-        Phase one broadcasts the new graph (``prepare``) and waits for
-        every shard's ack; phase two flips them over (``commit``).  A
-        shard that dies mid-swap respawns directly on the new graph and
-        counts as both prepared and committed.  Requests keep flowing
-        during the swap; each batch sees either the old graph or the
-        new one, never a mix.
+        Requests keep flowing during the swap; each batch sees either
+        the old graph or the new one, never a mix (see
+        :meth:`_broadcast`).
 
         Parameters
         ----------
@@ -928,40 +889,19 @@ class ShardSupervisor:
         int
             ``graph.version`` once every shard is committed.
         """
-        if self._closed:
-            raise SessionClosedError("ShardSupervisor is closed")
-        if not self._started:
-            raise RuntimeError("ShardSupervisor.start() has not run")
-        assert self._swap_lock is not None
-        async with self._swap_lock:
-            self._generation += 1
-            generation = self._generation
-            self._pending_graph = graph
-            try:
-                await asyncio.gather(
-                    *(self._phase(s, "prepare", generation, graph) for s in self._shards)
-                )
-                self._graph = graph
-                await asyncio.gather(
-                    *(self._phase(s, "commit", generation, None) for s in self._shards)
-                )
-            finally:
-                self._pending_graph = None
-            self.stats.graph_swaps += 1
-            return graph.version
+        await self._broadcast(graph, lambda current: graph)
+        self.stats.graph_swaps += 1
+        return graph.version
 
     async def apply_delta(self, delta: GraphDelta) -> DeltaReport:
         """Broadcast streaming edge edits to every shard (two-phase).
 
-        The same machinery as :meth:`swap_graph` with one twist: the
-        prepare frame carries the small :class:`~repro.api.GraphDelta`
-        instead of a whole graph, and each worker's commit *repairs*
-        its session caches in place (:meth:`repro.api.Session.apply_delta`)
-        rather than evicting them.  The supervisor precomputes the
-        post-delta graph before broadcasting — a shard that dies
-        mid-delta respawns directly on that graph (fresh sessions need
-        no repair) and counts as both prepared and committed, exactly
-        like a mid-swap death.
+        The prepare frame carries the small
+        :class:`~repro.api.GraphDelta` instead of a whole graph, and
+        each worker's commit *repairs* its session caches in place
+        (:meth:`repro.api.Session.apply_delta`) rather than evicting
+        them.  A shard that dies mid-delta respawns directly on the
+        post-delta graph (see :meth:`_broadcast`).
 
         Parameters
         ----------
@@ -977,36 +917,56 @@ class ShardSupervisor:
             counters surface through :meth:`shard_stats` (each worker's
             coalescer reports its ``graph_deltas`` count).
         """
-        if self._closed:
-            raise SessionClosedError("ShardSupervisor is closed")
-        if not self._started:
-            raise RuntimeError("ShardSupervisor.start() has not run")
+        start = time.monotonic()
+
+        def edited(current: UncertainGraph) -> UncertainGraph:
+            final = current.copy()
+            delta.apply_to(final)
+            return final
+
+        final = await self._broadcast(delta, edited)
+        self.stats.graph_deltas += 1
+        return DeltaReport(
+            strategy="broadcast",
+            num_edits=delta.num_edits,
+            version=final.version,
+            content_hash=final.content_hash(),
+            seconds=time.monotonic() - start,
+        )
+
+    async def _broadcast(
+        self,
+        change: Union[UncertainGraph, GraphDelta],
+        edit: Callable[[UncertainGraph], UncertainGraph],
+    ) -> UncertainGraph:
+        """Ship ``change`` to every shard in two phases; return the new graph.
+
+        Under the edit lock, ``edit`` builds the post-edit graph from
+        the committed one — so it may raise (a delta naming an absent
+        edge) before anything is sent.  Phase one broadcasts ``change``
+        (``prepare``) and waits for every shard's ack; phase two flips
+        them over (``commit``).  A shard that dies mid-edit respawns
+        directly on the post-edit graph and counts as both prepared
+        and committed.
+        """
+        self._check_running()
         assert self._swap_lock is not None
         async with self._swap_lock:
-            final_graph = self._graph.copy()
-            start = time.monotonic()
-            delta.apply_to(final_graph)  # KeyError before any broadcast
+            graph = edit(self._graph)
             self._generation += 1
             generation = self._generation
-            self._pending_graph = final_graph
+            self._pending_graph = graph
             try:
                 await asyncio.gather(
-                    *(self._phase(s, "prepare", generation, delta) for s in self._shards)
+                    *(self._phase(s, "prepare", generation, change) for s in self._shards)
                 )
-                self._graph = final_graph
+                self._graph = graph
                 await asyncio.gather(
                     *(self._phase(s, "commit", generation, None) for s in self._shards)
                 )
             finally:
                 self._pending_graph = None
-            self.stats.graph_deltas += 1
-            return DeltaReport(
-                strategy="broadcast",
-                num_edits=delta.num_edits,
-                version=final_graph.version,
-                content_hash=final_graph.content_hash(),
-                seconds=time.monotonic() - start,
-            )
+            return graph
 
     async def _phase(
         self,
@@ -1068,7 +1028,7 @@ class ShardSupervisor:
             "max_wait_ms": self.max_wait_ms,
             "max_pending": self.max_pending,
             "heartbeat_interval_s": self.heartbeat_interval_s,
-            "heartbeat_timeout_s": self.heartbeat_timeout_s,
+            "heartbeat_timeout_s": _HEARTBEAT_TIMEOUT_INTERVALS * self.heartbeat_interval_s,
             "replay_budget": self.replay_budget,
             "parked": len(self._parked),
             **self.stats.as_dict(),

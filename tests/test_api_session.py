@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.api.session as session_module
 from repro.api import (
     MaximizeQuery,
     ReliabilityQuery,
@@ -145,8 +146,9 @@ class TestSessionBatching:
         ]))
         assert len(session._worlds) == 3
 
-    def test_world_cache_bounded_with_fifo_eviction(self, graph):
-        session = Session(graph, seed=9, max_cached_batches=2)
+    def test_world_cache_bounded_with_fifo_eviction(self, graph, monkeypatch):
+        monkeypatch.setattr(session_module, "_MAX_CACHED_BATCHES", 2)
+        session = Session(graph, seed=9)
         baseline = session.reliability(0, target=10, samples=128, seed=1)
         session.reliability(0, target=10, samples=128, seed=2)
         session.reliability(0, target=10, samples=128, seed=3)  # evicts seed=1
@@ -156,8 +158,6 @@ class TestSessionBatching:
         # batch (fresh generator per key), so answers never change.
         again = session.reliability(0, target=10, samples=128, seed=1)
         assert again.value == baseline.value
-        with pytest.raises(ValueError):
-            Session(graph, max_cached_batches=0)
 
     def test_results_align_with_query_order(self, graph):
         queries = [

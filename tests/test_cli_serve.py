@@ -113,6 +113,24 @@ def test_sigterm_drains_inflight_request_and_exits_zero(edge_file):
     assert outcome["body"]["results"][0]["value"] > 0
 
 
+def test_sigterm_with_closed_stdout_still_drains_and_exits_zero(edge_file):
+    # The stdout reader goes away after the banner: the shutdown notices
+    # can no longer be printed, and the drain must run all the same.
+    proc, port = spawn_server(edge_file, "--max-wait-ms", "1")
+    try:
+        for line in proc.stdout:
+            if line.startswith("coalescer:"):
+                break  # the banner is complete
+        proc.stdout.close()
+        proc.send_signal(signal.SIGTERM)
+        proc.wait(timeout=10)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert proc.returncode == 0
+
+
 def test_sigint_with_no_traffic_exits_zero(edge_file):
     proc, port = spawn_server(edge_file, "--max-wait-ms", "1")
     try:

@@ -57,10 +57,19 @@ class TestCliDatasets:
     ["maximize", "--source", "0", "--target", "3", "--zeta", "0"],
     ["mrp", "--source", "0", "--target", "3", "--zeta", "1.5"],
     ["mrp", "--source", "0", "--target", "3", "--zeta", "0"],
+    # Serving knobs: a batch holds >= 1 query, a pool >= 1 process,
+    # windows, admission bounds and replay budgets are >= 0, and the
+    # heartbeat interval is > 0.
+    ["serve", "--max-batch", "0"],
+    ["serve", "--max-wait-ms", "-1"],
+    ["serve", "--max-pending", "-5"],
+    ["serve", "--shards", "-3"],
+    ["serve", "--shards", "2", "--heartbeat-interval-s", "0"],
+    ["serve", "--shards", "2", "--replay-budget", "-1"],
 ])
 def test_numeric_flags_out_of_range_are_usage_errors(capsys, edge_file, argv):
     """Every bounded numeric flag (sample budgets, seeds, -k, -r, -l,
-    --h, zeta) rejects out-of-range and malformed values at parse time:
+    --h, zeta, serving knobs) rejects out-of-range and malformed values at parse time:
     an argparse usage error with exit 2, not a ValueError from deep
     inside the query layer."""
     graph = [] if argv[0] == "datasets" else ["--file", edge_file]

@@ -294,7 +294,8 @@ class TestOverlayOnlyEndpoints:
         plan draws, so the index answers like a same-seed ``mc``."""
         overlay = [(0, 3, 0.5), (1, 2, 0.4), (3, 7, 0.9)]
         index = BFSSharingIndex(diamond, num_samples=700, seed=5)
-        for s, t in [(0, 3), (0, 7), (2, 1)]:
+        # (7, 0): a source only the overlay names.
+        for s, t in [(0, 3), (0, 7), (2, 1), (7, 0)]:
             fresh = MonteCarloEstimator(700, seed=5)
             assert index.reliability(diamond, s, t, overlay) == (
                 fresh.reliability(diamond, s, t, overlay)

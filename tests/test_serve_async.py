@@ -12,10 +12,17 @@ import asyncio
 
 import pytest
 
-from repro.api import MaximizeQuery, ReliabilityQuery, Session, Workload
+from repro.api import (
+    GraphDelta,
+    MaximizeQuery,
+    ReliabilityQuery,
+    Session,
+    Workload,
+    batch_key,
+)
 from repro.graph import UncertainGraph, assign_uniform, erdos_renyi
 from repro.reliability import ReliabilityEstimator
-from repro.serve import AsyncSession, split_batchable
+from repro.serve import AsyncSession
 
 
 def build_graph(num_nodes=60, num_edges=150, seed=3):
@@ -85,7 +92,7 @@ def test_mixed_z_seed_requests_split_into_separate_world_batches():
     group_c = [ReliabilityQuery(0, target=40, samples=800, seed=1)]
     queries = group_a + group_b + group_c
 
-    assert len(split_batchable(queries)) == 3  # the diagnostic agrees
+    assert len({batch_key(q, 7) for q in queries}) == 3  # the key agrees
 
     async def scenario():
         async with AsyncSession(graph, seed=7, max_wait_ms=20.0) as serving:
@@ -279,7 +286,8 @@ def test_failing_query_does_not_poison_batch_companions():
     assert result.values == expected.values  # unaffected by the failure
 
 
-def test_swap_graph_flushes_pending_queries_onto_old_graph():
+@pytest.mark.parametrize("edit", ["swap", "delta"])
+def test_swap_graph_flushes_pending_queries_onto_old_graph(edit):
     old = UncertainGraph.from_edges([(0, 1, 1.0), (1, 2, 1.0)])
     new = UncertainGraph.from_edges([(0, 1, 1.0)])  # node 2 gone
 
@@ -289,18 +297,23 @@ def test_swap_graph_flushes_pending_queries_onto_old_graph():
                 serving.reliability(0, target=2, samples=500)
             )
             await asyncio.sleep(0)  # query accepted while `old` is served
-            await serving.swap_graph(new)
+            if edit == "swap":
+                await serving.swap_graph(new)
+            else:  # the same cut as a streaming edit of the served graph
+                await serving.apply_delta(GraphDelta(deletes=((1, 2),)))
             before = await pending
             serving.max_wait_ms = 1.0  # don't wait out the huge window
             after = await serving.reliability(0, target=2, samples=500)
-            return before, after
+            return before, after, serving.stats
 
-    before, after = asyncio.run(scenario())
+    before, after, stats = asyncio.run(scenario())
     assert before.value == 1.0  # answered on the graph it was accepted for
-    assert after.value == 0.0   # node 2 does not exist in the new graph
+    assert after.value == 0.0   # node 2 is unreachable after the edit
+    edits = (stats.graph_swaps, stats.graph_deltas)
+    assert edits == ((1, 0) if edit == "swap" else (0, 1))
 
 
-def test_split_batchable_resolves_aliases_and_session_seed():
+def test_batch_key_resolves_aliases_and_session_seed():
     queries = [
         ReliabilityQuery(0, target=1, samples=100, seed=None),
         ReliabilityQuery(0, target=2, samples=100, seed=5),
@@ -310,11 +323,9 @@ def test_split_batchable_resolves_aliases_and_session_seed():
     # With the session seed known, seed=None resolves onto seed=5 and
     # the "monte-carlo" alias collapses onto "mc": one group, exactly
     # how Session.run batches them.
-    groups = split_batchable(queries, session_seed=5)
-    assert len(groups) == 1
-    assert groups[0][0] == ("mc", 100, 5)
+    assert {batch_key(q, 5) for q in queries} == {("mc", 100, 5)}
     # Without it, unresolved seeds stay apart from explicit ones.
-    assert len(split_batchable(queries)) == 2
+    assert len({batch_key(q, None) for q in queries}) == 2
 
 
 def test_close_flushes_pending_and_rejects_new_submissions():

@@ -13,6 +13,7 @@ import urllib.request
 
 import pytest
 
+import repro.serve.http as http_module
 from repro.api import ReliabilityQuery, Session, Workload
 from repro.graph import UncertainGraph, assign_uniform, erdos_renyi
 from repro.serve import (
@@ -125,16 +126,22 @@ def test_maximize_endpoint_returns_solution():
     assert body["provenance"]["estimator"] == "rss"
 
 
-def test_graph_hot_swap_changes_answers_and_version():
+@pytest.mark.parametrize("method, path, body, status_word, counter", [
+    ("POST", "/graph", {"edges": [[0, 1, 1.0], [1, 2, 1.0]], "name": "after"},
+     "swapped", "graph_swaps"),
+    ("PATCH", "/edges", {"upserts": [[0, 1, 1.0], [1, 2, 1.0]]},
+     "patched", "graph_deltas"),
+])
+def test_graph_hot_swap_changes_answers_and_version(
+    method, path, body, status_word, counter
+):
     graph = UncertainGraph.from_edges([(0, 1, 0.5), (1, 2, 0.5)],
                                       name="before")
 
     async def scenario(host, port):
         before = await request("POST", host, port, "/reliability",
                                {"source": 0, "target": 2, "samples": 1000})
-        swap = await request("POST", host, port, "/graph",
-                             {"edges": [[0, 1, 1.0], [1, 2, 1.0]],
-                              "name": "after"})
+        swap = await request(method, host, port, path, body)
         after = await request("POST", host, port, "/reliability",
                               {"source": 0, "target": 2, "samples": 1000})
         health = await request("GET", host, port, "/healthz")
@@ -143,13 +150,22 @@ def test_graph_hot_swap_changes_answers_and_version():
     (_, before), (swap_status, swap), (_, after), (_, health) = serve(
         graph, scenario, seed=4
     )
+    name = body.get("name", "before")
     assert before["results"][0]["value"] < 1.0
     assert swap_status == 200
-    assert swap["status"] == "swapped"
-    assert swap["graph"]["name"] == "after"
+    assert swap["status"] == status_word
+    assert swap["graph"]["name"] == name
     assert after["results"][0]["value"] == 1.0
-    assert health["graph"]["name"] == "after"
-    assert health["coalescer"]["graph_swaps"] == 1
+    assert health["graph"]["name"] == name
+    assert health["graph"]["version"] == swap["graph"]["version"]
+    assert health["coalescer"][counter] == 1
+    if method == "PATCH":
+        # The cached (Z, seed) batch of the first request is repaired.
+        report = swap["report"]
+        assert report["strategy"] == "repair"
+        assert report["num_edits"] == 2
+        assert report["repaired_batches"] == 1
+        assert report["version"] == swap["graph"]["version"]
 
 
 def test_concurrent_http_clients_coalesce_into_shared_worlds():
@@ -222,12 +238,24 @@ def test_error_statuses():
             "POST", host, port, "/maximize",
             {"source": 0, "target": 1, "zeta": 1.5},
         )
+        bad_deltas = [
+            await request("PATCH", host, port, "/edges", payload)
+            for payload in (
+                {},
+                {"upserts": [[0, 1]]},
+                {"upserts": [[True, 1, 0.5]]},
+                {"deletes": [[100, 101]]},  # absent edge
+            )
+        ]
+        edges_get = await request("GET", host, port, "/edges")
         return (unknown, wrong_method, missing_body, bad_estimator,
-                both_targets, bad_graph, bad_method, bad_zeta)
+                both_targets, bad_graph, bad_method, bad_zeta,
+                *bad_deltas, edges_get)
 
     results = serve(graph, scenario)
     statuses = [status for status, _ in results]
-    assert statuses == [404, 405, 400, 400, 400, 400, 400, 400]
+    assert statuses == [404, 405, 400, 400, 400, 400, 400, 400,
+                        400, 400, 400, 400, 405]
     for _, body in results:
         assert "error" in body
 
@@ -274,7 +302,8 @@ def test_targets_as_json_string_gets_400():
     assert "targets" in body["error"]
 
 
-def test_idle_connection_is_closed_by_read_timeout():
+def test_idle_connection_is_closed_by_read_timeout(monkeypatch):
+    monkeypatch.setattr(http_module, "_READ_TIMEOUT_S", 0.2)
     graph = build_graph(num_nodes=8, num_edges=12)
 
     async def scenario(host, port):
@@ -285,7 +314,7 @@ def test_idle_connection_is_closed_by_read_timeout():
         writer.close()
         return data
 
-    data = serve(graph, scenario, read_timeout_s=0.2)
+    data = serve(graph, scenario)
     assert data == b""  # server closed the idle connection
 
 
@@ -520,8 +549,14 @@ def test_shed_retry_after_tracks_configured_window():
     assert headers["Retry-After"] == "2"
 
 
-def test_drain_time_503_carries_retry_after():
-    """SessionClosedError 503s advertise Retry-After too, not just sheds."""
+@pytest.mark.parametrize("method, path, payload", [
+    ("POST", "/reliability", {"source": 0, "target": 5, "samples": 100}),
+    ("POST", "/graph", {"edges": [[0, 1, 0.5]]}),
+    ("PATCH", "/edges", {"upserts": [[0, 1, 0.5]]}),
+])
+def test_drain_time_503_carries_retry_after(method, path, payload):
+    """SessionClosedError 503s advertise Retry-After too, not just sheds,
+    on the query route and both graph-edit routes alike."""
     from repro.serve import AsyncSession
 
     graph = build_graph(num_nodes=10, num_edges=20)
@@ -539,10 +574,9 @@ def test_drain_time_503_carries_retry_after():
 
     def _raw_status_headers(host, port):
         req = urllib.request.Request(
-            f"http://{host}:{port}/reliability",
-            data=json.dumps({"source": 0, "target": 5,
-                             "samples": 100}).encode(),
-            method="POST",
+            f"http://{host}:{port}{path}",
+            data=json.dumps(payload).encode(),
+            method=method,
         )
         try:
             with urllib.request.urlopen(req, timeout=10) as response:

@@ -22,15 +22,22 @@ import time
 
 import pytest
 
+import repro.serve.shard as shard_module
 from repro import faults
-from repro.api import MaximizeQuery, ReliabilityQuery, Session, Workload
+from repro.api import (
+    GraphDelta,
+    MaximizeQuery,
+    ReliabilityQuery,
+    Session,
+    Workload,
+    batch_key,
+)
 from repro.graph import UncertainGraph, assign_uniform, erdos_renyi
 from repro.serve import (
     OverloadedError,
     SessionClosedError,
     ShardCrashError,
     ShardSupervisor,
-    route_key,
     shard_index,
 )
 
@@ -43,14 +50,10 @@ pytestmark = pytest.mark.skipif(
 #: flight.  ``fail=0`` keeps answers bit-for-bit clean.
 SLOW_WORKER_PROFILE = "serve.worker:latency_ms=300,fail=0"
 
-#: Fast supervision knobs so death detection and respawn complete in
-#: test time (production defaults are 1s/5s).
-FAST = dict(
-    heartbeat_interval_s=0.1,
-    heartbeat_timeout_s=0.8,
-    respawn_backoff_s=0.05,
-    respawn_backoff_ceiling_s=0.5,
-)
+#: Fast supervision so hang detection completes in test time: a worker
+#: silent for four 0.2 s intervals is dead (the production default is
+#: a 1 s interval).
+FAST = dict(heartbeat_interval_s=0.2)
 
 
 @pytest.fixture(autouse=True)
@@ -106,17 +109,17 @@ def shard_pids(supervisor):
 # ----------------------------------------------------------------------
 
 
-def test_route_key_matches_coalescing_key():
+def test_routing_key_is_the_batch_key():
     q = ReliabilityQuery(source=0, target=1, samples=400, seed=None)
     # seed=None resolves to the session seed, exactly as Session.run
     # groups batches — so both spellings land on the same shard.
-    assert route_key(q, 7) == ("mc", 400, 7)
+    assert batch_key(q, 7) == ("mc", 400, 7)
     explicit = ReliabilityQuery(source=3, target=4, samples=400, seed=7)
-    assert route_key(explicit, 7) == route_key(q, 7)
+    assert batch_key(explicit, 7) == batch_key(q, 7)
     # Maximize queries collapse onto one key (their base evaluations
     # batch together regardless of configuration).
     m = MaximizeQuery(source=0, target=1, k=2)
-    assert route_key(m, 7) == ("maximize", 0, None)
+    assert batch_key(m, 7) == ("maximize", 0, None)
 
 
 def test_shard_index_is_stable_and_in_range():
@@ -253,7 +256,7 @@ def test_replay_budget_exhaustion_fails_typed(graph, monkeypatch):
             q = ReliabilityQuery(source=0, target=29, samples=2000, seed=5)
             pending = asyncio.ensure_future(sup.submit(q))
             await asyncio.sleep(0.15)
-            home = shard_index(route_key(q, 0), 2)
+            home = shard_index(batch_key(q, 0), 2)
             os.kill(shard_pids(sup)[home], signal.SIGKILL)
             with pytest.raises(ShardCrashError):
                 await pending
@@ -277,6 +280,34 @@ def test_spawn_fault_backs_off_then_recovers(graph):
             assert sup.stats.respawns >= 1
 
     asyncio.run(run())
+
+
+def test_respawn_backoff_resets_after_a_stable_run(graph, monkeypatch):
+    """Quick deaths double the backoff; a death after a stable run resets it."""
+    monkeypatch.setattr(shard_module, "_RESPAWN_BACKOFF_CEILING_S", 0.2)
+    monkeypatch.setattr(shard_module, "_BACKOFF_RESET_S", 1.0)
+
+    async def kill_and_respawn(sup):
+        """SIGKILL shard 0; its backoff once the respawn is live."""
+        pid = shard_pids(sup)[0]
+        os.kill(pid, signal.SIGKILL)
+        await wait_until(lambda: shard_pids(sup)[0] != pid
+                         and sup.describe()["shards"][0]["live"],
+                         message="respawn")
+        return sup.describe()["shards"][0]["backoff_s"]
+
+    async def run():
+        async with ShardSupervisor(graph, num_shards=2, **FAST) as sup:
+            quick = [await kill_and_respawn(sup) for _ in range(3)]
+            await asyncio.sleep(1.2)  # outlive the reset threshold
+            return quick, await kill_and_respawn(sup)
+
+    quick, after_stable_run = asyncio.run(run())
+    # Each respawn waits the current backoff and doubles it: 0.05 s,
+    # 0.1 s, then 0.2 s held at the ceiling.
+    assert quick == [0.1, 0.2, 0.2]
+    # The stable run restarts the ladder: wait 0.05 s, double to 0.1 s.
+    assert after_stable_run == 0.1
 
 
 def test_ipc_write_fault_is_a_death_signal(graph):
@@ -307,45 +338,98 @@ def swapped_graph(graph):
     return UncertainGraph.from_edges(edges, directed=graph.directed, name="swapped")
 
 
-def test_two_phase_swap_parity(graph):
-    new = swapped_graph(graph)
+#: Edits of the ``graph`` fixture: lower edge (0, 29), delete edge
+#: (0, 8), and attach a new node 30.
+EDGE_DELTA = GraphDelta(upserts=((0, 29, 0.5), (29, 30, 0.7)), deletes=((0, 8),))
+
+
+def pool_edit(graph, edit):
+    """``(edited graph, coroutine function applying the edit to a pool)``."""
+    if edit == "swap":
+        new = swapped_graph(graph)
+        return new, lambda sup: sup.swap_graph(new)
+    new = graph.copy()
+    EDGE_DELTA.apply_to(new)
+    return new, lambda sup: sup.apply_delta(EDGE_DELTA)
+
+
+def check_edit(sup, edit, new, outcome):
+    """What a finished swap (a version) or delta (a report) leaves behind."""
+    if edit == "swap":
+        assert outcome == new.version
+        assert sup.graph is new
+        assert (sup.stats.graph_swaps, sup.stats.graph_deltas) == (1, 0)
+    else:
+        assert outcome.strategy == "broadcast"
+        assert outcome.content_hash == new.content_hash()
+        assert sup.graph.content_hash() == new.content_hash()
+        assert (sup.stats.graph_swaps, sup.stats.graph_deltas) == (0, 1)
+
+
+@pytest.mark.parametrize("edit", ["swap", "delta"])
+def test_two_phase_swap_parity(graph, edit):
+    new, make_edit = pool_edit(graph, edit)
     q = ReliabilityQuery(source=0, target=29, samples=500, seed=2)
     expected = one_off(new, [q])[0].values
+    assert expected != one_off(graph, [q])[0].values  # the edit shows
 
     async def run():
         async with ShardSupervisor(graph, num_shards=2, **FAST) as sup:
-            version = await sup.swap_graph(new)
-            assert version == new.version
-            assert sup.graph is new
+            check_edit(sup, edit, new, await make_edit(sup))
             result = await sup.submit(q)
-            assert sup.stats.graph_swaps == 1
             return result.values
 
     assert asyncio.run(run()) == expected
 
 
-def test_swap_with_dead_shard_completes_on_new_graph(graph):
-    """A shard dying mid-swap restarts directly on the new graph."""
-    new = swapped_graph(graph)
-    q = ReliabilityQuery(source=1, target=28, samples=500, seed=3)
-    expected = one_off(new, [q])[0].values
+@pytest.mark.parametrize("edit", ["swap", "delta"])
+def test_swap_with_dead_shard_completes_on_new_graph(graph, edit):
+    """A shard dying mid-edit restarts directly on the edited graph."""
+    new, make_edit = pool_edit(graph, edit)
+    # Seeds 3 and 4 route to different shards, so the respawned worker
+    # answers one of them.
+    queries = [ReliabilityQuery(source=1, target=28, samples=500, seed=s)
+               for s in (3, 4)]
+    assert {shard_index(batch_key(q, 0), 2) for q in queries} == {0, 1}
+    expected = [r.values for r in one_off(new, queries)]
 
     async def run():
         async with ShardSupervisor(graph, num_shards=2, **FAST) as sup:
             os.kill(shard_pids(sup)[0], signal.SIGKILL)
-            # Swap immediately: phase one must wait out the respawn,
+            # Edit immediately: phase one must wait out the respawn,
             # which starts the worker on the pending graph.
-            version = await sup.swap_graph(new)
-            assert version == new.version
+            check_edit(sup, edit, new, await make_edit(sup))
             rows = await wait_all_live(sup)
             generation = sup.describe()["shards"][0]["generation"]
             assert all(row["generation"] >= 1 for row in rows), rows
-            result = await sup.submit(q)
-            return generation, result.values
+            results = await asyncio.gather(*(sup.submit(q) for q in queries))
+            return generation, [r.values for r in results]
 
     generation, values = asyncio.run(run())
     assert generation >= 1
     assert values == expected
+
+
+def test_delta_deleting_absent_edge_fails_before_broadcast(graph):
+    """A bad delete raises ``KeyError`` and leaves every shard as it was."""
+    q = ReliabilityQuery(source=0, target=29, samples=500, seed=2)
+    expected = one_off(graph, [q])[0].values
+    content = graph.content_hash()
+    bad = GraphDelta(upserts=((0, 29, 0.9),), deletes=((100, 101),))
+
+    async def run():
+        async with ShardSupervisor(graph, num_shards=2, **FAST) as sup:
+            generations = [row["generation"] for row in sup.describe()["shards"]]
+            with pytest.raises(KeyError):
+                await sup.apply_delta(bad)
+            assert sup.graph is graph
+            assert graph.content_hash() == content
+            assert [row["generation"] for row in sup.describe()["shards"]] == generations
+            assert sup.stats.graph_deltas == 0
+            result = await sup.submit(q)
+            return result.values
+
+    assert asyncio.run(run()) == expected
 
 
 # ----------------------------------------------------------------------
@@ -399,7 +483,7 @@ def test_constructor_validation(graph):
     with pytest.raises(ValueError):
         ShardSupervisor(graph, replay_budget=-1)
     with pytest.raises(ValueError):
-        ShardSupervisor(graph, heartbeat_interval_s=1.0, heartbeat_timeout_s=0.5)
+        ShardSupervisor(graph, heartbeat_interval_s=0.0)
 
 
 def test_shared_store_across_shards(graph, tmp_path):
