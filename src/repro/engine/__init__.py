@@ -34,6 +34,7 @@ from .kernel import (
     extract_worlds,
     hit_fraction,
     keyed_coin_rows,
+    keyed_coin_words,
     num_words,
     pack_bool_matrix,
     popcount,
@@ -78,6 +79,7 @@ __all__ = [
     "extract_worlds",
     "hit_fraction",
     "keyed_coin_rows",
+    "keyed_coin_words",
     "num_words",
     "pack_bool_matrix",
     "popcount",

@@ -60,7 +60,10 @@ class QueryPlan:
         generator (:func:`~repro.engine.kernel.sample_worlds`) seeds
         each edge's coin row from this identity, never from the edge
         id, so recompiling after a graph edit leaves untouched edges'
-        coins bit-identical even when their edge ids shift.
+        coins bit-identical even when their edge ids shift.  Filled
+        where the edge table is built (:func:`compile_plan`,
+        :func:`extend_with_overlay`); a reverse view shares its forward
+        plan's arrays.
     """
 
     __slots__ = (
@@ -93,6 +96,9 @@ class QueryPlan:
         node_ids: List[int],
         index_of: Dict[int, int],
         edge_index: Dict[EdgeKey, Tuple[int, ...]],
+        edge_u: np.ndarray,
+        edge_v: np.ndarray,
+        edge_ordinal: np.ndarray,
     ) -> None:
         self.directed = directed
         self.num_nodes = num_nodes
@@ -122,17 +128,9 @@ class QueryPlan:
         else:
             self.dst_unique = np.empty(0, dtype=np.int64)
             self.dst_starts = np.empty(0, dtype=np.int64)
-        # Edge identities derive from edge_index, which every
-        # construction path already threads through: the ordinal is the
-        # edge's position inside its key's id tuple.
-        self.edge_u = np.empty(self.num_edges, dtype=np.int64)
-        self.edge_v = np.empty(self.num_edges, dtype=np.int64)
-        self.edge_ordinal = np.empty(self.num_edges, dtype=np.int64)
-        for (key_u, key_v), eids in edge_index.items():
-            for ordinal, eid in enumerate(eids):
-                self.edge_u[eid] = key_u
-                self.edge_v[eid] = key_v
-                self.edge_ordinal[eid] = ordinal
+        self.edge_u = edge_u
+        self.edge_v = edge_v
+        self.edge_ordinal = edge_ordinal
         self._reverse: Optional["QueryPlan"] = None
 
     def node_index(self, node: int) -> Optional[int]:
@@ -165,6 +163,9 @@ class QueryPlan:
                 node_ids=self.node_ids,
                 index_of=self.index_of,
                 edge_index=self.edge_index,
+                edge_u=self.edge_u,
+                edge_v=self.edge_v,
+                edge_ordinal=self.edge_ordinal,
             )
             reverse._reverse = self
             self._reverse = reverse
@@ -214,6 +215,18 @@ def _compile(graph: UncertainGraph) -> QueryPlan:
             arc_eid[pos] = eid
             pos += 1
 
+    # A graph holds one edge per canonical key, so every compiled edge
+    # has ordinal 0 and its identity is its canonical endpoints — read
+    # off the first arc each edge wrote.
+    node_array = np.asarray(node_ids, dtype=np.int64)
+    step = 1 if directed else 2
+    edge_u = node_array[arc_src[:pos:step]]
+    edge_v = node_array[arc_dst[:pos:step]]
+    if not directed:
+        edge_u, edge_v = (
+            np.minimum(edge_u, edge_v), np.maximum(edge_u, edge_v)
+        )
+
     return QueryPlan(
         directed=directed,
         num_nodes=len(node_ids),
@@ -224,6 +237,9 @@ def _compile(graph: UncertainGraph) -> QueryPlan:
         node_ids=node_ids,
         index_of=index_of,
         edge_index=edge_index,
+        edge_u=edge_u,
+        edge_v=edge_v,
+        edge_ordinal=np.zeros(num_edges, dtype=np.int64),
     )
 
 
@@ -292,13 +308,21 @@ def extend_with_overlay(
     arc_dst = np.empty(num_arcs, dtype=np.int64)
     arc_eid = np.empty(num_arcs, dtype=np.int64)
     edge_index = dict(base.edge_index)
+    edge_u = np.empty(n_extra, dtype=np.int64)
+    edge_v = np.empty(n_extra, dtype=np.int64)
+    edge_ordinal = np.empty(n_extra, dtype=np.int64)
 
     pos = 0
     for offset, (u, v, p) in enumerate(extra):
         eid = base.num_edges + offset
         probs[offset] = p
         key = canonical_key(directed, u, v)
-        edge_index[key] = (*edge_index.get(key, ()), eid)
+        ids = edge_index.get(key, ())
+        edge_index[key] = (*ids, eid)
+        # Stacked on an existing key, the edge's ordinal is its position
+        # among the key's ids.
+        edge_u[offset], edge_v[offset] = key
+        edge_ordinal[offset] = len(ids)
         ui, vi = intern(u), intern(v)
         arc_src[pos] = ui
         arc_dst[pos] = vi
@@ -332,6 +356,9 @@ def extend_with_overlay(
         node_ids=node_ids,
         index_of=index_of,
         edge_index=edge_index,
+        edge_u=np.concatenate([base.edge_u, edge_u]),
+        edge_v=np.concatenate([base.edge_v, edge_v]),
+        edge_ordinal=np.concatenate([base.edge_ordinal, edge_ordinal]),
     )
 
 

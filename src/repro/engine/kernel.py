@@ -31,14 +31,15 @@ from .csr import QueryPlan
 
 WORD_BITS = 64
 
-#: Coins per generation block of :func:`keyed_coin_rows`.  A block holds
-#: two uint64 temporaries of this many elements (the counter matrix the
-#: mixer rewrites in place and its shift scratch, 512 KiB each) plus a
-#: 64 KiB bool compare matrix: about 1.1 MiB, inside a 2 MiB per-core
-#: L2.  On as-topology (m=3994) at Z=1000-16384 (2-core Xeon, numpy
-#: 2.4) this runs at 3.3-4.1 ns/coin, against 4.1-4.7 for 16k- or
-#: 128k-coin blocks and 10-13 ns/coin for 4M-coin blocks, whose 32 MB
-#: temporaries spill out of L2.
+#: Coins per generation block of :func:`keyed_coin_rows` and
+#: :func:`keyed_coin_words`.  A block holds two uint64 temporaries of
+#: this many elements (the counter matrix the mixer rewrites in place
+#: and its shift scratch, 512 KiB each) plus a 64 KiB bool compare
+#: matrix: about 1.1 MiB, inside a 2 MiB per-core L2.  On as-topology
+#: (m=3994) at Z=1000-16384 (2-core Xeon, numpy 2.4) this runs at
+#: 3.3-4.1 ns/coin, against 4.1-4.7 for 16k- or 128k-coin blocks and
+#: 10-13 ns/coin for 4M-coin blocks, whose 32 MB temporaries spill out
+#: of L2.
 _COIN_BLOCK = 1 << 16
 
 # SplitMix64 finalizer constants (Steele et al., "Fast splittable
@@ -158,6 +159,40 @@ def _keyed_coin_bits(
     return pack_bool_matrix(heads, heads.shape[1])
 
 
+def _sample_term(width: int) -> np.ndarray:
+    """``GAMMA * (j + 1)`` for the coins ``j < width`` of a keyed row."""
+    return _MIX_GAMMA * (np.arange(width, dtype=np.uint64) + _ONE64)
+
+
+def _keyed_coin_blocks(
+    keys: np.ndarray,
+    thresholds: np.ndarray,
+    sample_term: np.ndarray,
+) -> np.ndarray:
+    """Packed ``(rows, len(sample_term) / 64)`` words of keyed rows.
+
+    Runs :func:`_keyed_coin_bits` over blocks of about
+    :data:`_COIN_BLOCK` coins so the mixer's temporaries stay in cache
+    at any row width.
+    """
+    num_rows = keys.shape[0]
+    width = sample_term.shape[0]
+    block = max(1, _COIN_BLOCK // max(width, 1))
+    shape = (min(block, num_rows), width)
+    counters = np.empty(shape, dtype=np.uint64)
+    scratch = np.empty(shape, dtype=np.uint64)
+    heads = np.empty(shape, dtype=bool)
+    words = np.empty((num_rows, width // WORD_BITS), dtype=np.uint64)
+    for start in range(0, num_rows, block):
+        stop = min(start + block, num_rows)
+        size = stop - start
+        words[start:stop] = _keyed_coin_bits(
+            keys[start:stop], thresholds[start:stop], sample_term,
+            counters[:size], scratch[:size], heads[:size],
+        )
+    return words
+
+
 def keyed_coin_rows(
     base: np.uint64,
     edge_u: ArrayLike,
@@ -171,7 +206,8 @@ def keyed_coin_rows(
     The one coin primitive of the engine: world sampling
     (:func:`sample_worlds_keyed`), single-row re-flips
     (:func:`edge_coin_row`, which delta repair uses), the selection
-    kernel's candidate rows and BFS-sharing overlay rows all call it.
+    kernel's winner rows and BFS-sharing overlay rows all call it;
+    :func:`keyed_coin_words` draws single words of the same rows.
     Row ``r`` is a pure function of ``(base, edge_u[r], edge_v[r],
     edge_ordinal[r], probs[r])`` and of ``valid``'s word layout: a coin
     is drawn at every bit position of the ``W = len(valid)`` words and
@@ -183,25 +219,46 @@ def keyed_coin_rows(
     the mixer's temporaries stay in cache at any ``Z``.
     """
     keys = _edge_keys(base, edge_u, edge_v, edge_ordinal)
-    thresholds = _coin_thresholds(probs)
-    num_rows = keys.shape[0]
-    width = valid.shape[0] * WORD_BITS
-    block = max(1, _COIN_BLOCK // max(width, 1))
-    shape = (min(block, num_rows), width)
-    counters = np.empty(shape, dtype=np.uint64)
-    scratch = np.empty(shape, dtype=np.uint64)
-    heads = np.empty(shape, dtype=bool)
-    sample_term = _MIX_GAMMA * (np.arange(width, dtype=np.uint64) + _ONE64)
-    rows = np.empty((num_rows, valid.shape[0]), dtype=np.uint64)
-    for start in range(0, num_rows, block):
-        stop = min(start + block, num_rows)
-        size = stop - start
-        rows[start:stop] = _keyed_coin_bits(
-            keys[start:stop], thresholds[start:stop], sample_term,
-            counters[:size], scratch[:size], heads[:size],
-        )
+    rows = _keyed_coin_blocks(
+        keys, _coin_thresholds(probs),
+        _sample_term(valid.shape[0] * WORD_BITS),
+    )
     rows &= valid
     return rows
+
+
+def keyed_coin_words(
+    base: np.uint64,
+    edge_u: ArrayLike,
+    edge_v: ArrayLike,
+    edge_ordinal: ArrayLike,
+    probs: ArrayLike,
+    valid: np.ndarray,
+    rows: ArrayLike,
+    words: ArrayLike,
+) -> np.ndarray:
+    """Single coin words of keyed rows: ``(P,)`` uint64.
+
+    Equals ``keyed_coin_rows(base, edge_u, edge_v, edge_ordinal, probs,
+    valid)[rows, words]`` bit for bit, without drawing the rest of the
+    rows: position ``i`` costs the 64 coins of word ``words[i]`` of the
+    row for identity ``rows[i]``, whatever ``W``.  Coin ``64 w + j`` of
+    a row mixes ``key + GAMMA * (64 w + j + 1)``, so advancing a
+    position's key by ``GAMMA * 64 w`` (mod 2^64) leaves the sample
+    term of coins ``0..63`` — the same :func:`_keyed_coin_bits` block
+    body as :func:`keyed_coin_rows`, one word per position.  The
+    selection kernel draws candidate coins this way only where a gain
+    mask is nonzero.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    words = np.asarray(words, dtype=np.intp)
+    keys = _edge_keys(base, edge_u, edge_v, edge_ordinal)[rows]
+    keys += _MIX_GAMMA * (words.astype(np.uint64) * np.uint64(WORD_BITS))
+    drawn = _keyed_coin_blocks(
+        keys, _coin_thresholds(probs)[rows], _sample_term(WORD_BITS)
+    )[:, 0]
+    drawn &= valid[words]
+    return drawn
 
 
 def num_words(num_samples: int) -> int:

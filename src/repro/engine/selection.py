@@ -7,9 +7,9 @@ re-estimates reliability once per candidate — ``O(|C| * Z * (n + m))``
 per round.  This kernel collapses a round to **two batch-BFS sweeps
 plus bitwise ops**: one forward sweep from ``s`` and one reverse sweep
 into ``t`` over the current graph-plus-selected overlay, after which
-every candidate's marginal gain is a keyed coin row plus
-AND/OR + popcount over uint64 words — ``O(Z / 64)`` words per
-candidate.
+every candidate's marginal gain is AND/OR + popcount over uint64 words
+— ``O(Z / 64)`` words per candidate — plus keyed coins drawn only in
+the words where the candidate's gain mask is nonzero.
 
 There is one greedy loop,
 :meth:`SelectionGainKernel.greedy_select_multi`, over an aggregate of
@@ -58,23 +58,38 @@ the exact same fixpoint bit for bit (pinned by
 the full re-sweep for comparison, and
 ``benchmarks/bench_sweep_gated.py`` gates the per-round speedup.
 
+Sparse coins
+------------
+A candidate's coins only matter in worlds its gain mask
+``(F[u] & R[v] | F[v] & R[u]) & ~already`` covers, and greedy rounds
+are mostly zero-gain candidates: on a 1000-node AS topology at
+``Z = 1000`` the masks were nonzero in 3.5-12.3% of candidate words.
+So a round draws coins one 64-bit word at a time, only where some
+pair's mask word is nonzero (:func:`~repro.engine.kernel.keyed_coin_words`,
+each word once across pairs), and the winner's full row alone
+(:meth:`SelectionGainKernel.candidate_rows`) is appended to the batch.
+The candidate list is resolved to endpoint, identity and probability
+arrays once per call; a winner that interns new nodes triggers a
+lookup of the still-unknown endpoints only.
+
 Determinism & tie-breaking
 --------------------------
-Candidate coin rows come from the identity-keyed coin stream that
-samples world batches (:func:`~repro.engine.kernel.keyed_coin_rows`),
-in one vectorized call per round: candidate ``(u, v, p)`` gets the
-keyed row of edge identity ``(u, v, 0)`` — canonical endpoints — under
-the per-round root ``coin_base(default_rng([seed, round, tag]))``.
-The domain tag keeps round 0 off the root of same-seed world batches
-(see :data:`_CANDIDATE_TAG`).  Rows are fresh every round and
-independent of the base batch and of candidate *position*, so
-duplicated candidates draw identical coins and tie exactly.  Coins are
-drawn over the batch's full ``W * 64`` word width and ANDed with its
-``valid`` mask, so prefix batches and interior-pad factory batches
-share one path and pad bits stay zero.  Ties (equal popcount) are
-broken by the **lowest candidate index** (numpy ``argmax`` / stable
-sort first-max), matching the per-candidate loop's first-maximum scan;
-the contract is pinned by ``tests/test_selection_semantics.py``.
+Candidate coins come from the identity-keyed coin stream that samples
+world batches (:func:`~repro.engine.kernel.keyed_coin_rows`):
+candidate ``(u, v, p)`` gets the keyed row of edge identity
+``(u, v, 0)`` — canonical endpoints — under the per-round root
+``coin_base(default_rng([seed, round, tag]))``, whether a round draws
+single words of it or the whole row.  The domain tag keeps round 0 off
+the root of same-seed world batches (see :data:`_CANDIDATE_TAG`).
+Rows are fresh every round and independent of the base batch and of
+candidate *position*, so duplicated candidates draw identical coins
+and tie exactly.  Rows span the batch's full ``W * 64`` word width and
+are ANDed with its ``valid`` mask, so prefix batches and interior-pad
+factory batches share one path and pad bits stay zero.  Ties (equal
+popcount) are broken by the **lowest candidate index** (numpy
+``argmax`` / stable sort first-max), matching the per-candidate loop's
+first-maximum scan; the contract is pinned by
+``tests/test_selection_semantics.py``.
 
 Custom base batches (per-stratum / per-block backends)
 ------------------------------------------------------
@@ -91,6 +106,7 @@ vectorized selection (see
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -109,6 +125,7 @@ from .kernel import (
     coin_base,
     extend_batch,
     keyed_coin_rows,
+    keyed_coin_words,
     popcount,
     reach_each,
     sample_worlds,
@@ -280,7 +297,10 @@ class SelectionGainKernel:
         ``coin_base(default_rng([seed, round, tag]))`` (see
         :data:`_CANDIDATE_TAG`).  Undirected endpoints fold onto
         ``(min, max)`` like the edge table, so both orientations of one
-        candidate draw the same coins and tie exactly.
+        candidate draw the same coins and tie exactly.  A greedy round
+        scores candidates from single words of these rows, drawn only
+        where a gain mask is nonzero, and calls this for the winner's
+        full row alone (see :meth:`_pair_counts`).
 
         ``batch`` fixes the word layout the rows must match: coins cover
         its full ``W * 64`` width and are ANDed with ``batch.valid``, so
@@ -297,19 +317,18 @@ class SelectionGainKernel:
                     "(batch_factory); pass batch=base_batch(source, "
                     "target) explicitly"
                 )
-        count = len(edges)
-        u = np.fromiter((e[0] for e in edges), dtype=np.int64, count=count)
-        v = np.fromiter((e[1] for e in edges), dtype=np.int64, count=count)
-        p = np.fromiter((e[2] for e in edges), dtype=np.float64, count=count)
-        if sanitize.enabled():
-            sanitize.check_probabilities(p, "candidate_rows: p")
-        if not self.plan.directed:
-            u, v = np.minimum(u, v), np.maximum(u, v)
-        root = coin_base(
-            np.random.default_rng([self.seed, round_index, _CANDIDATE_TAG])
+        key_u, key_v, p = _candidate_arrays(
+            edges, self.plan.directed, "candidate_rows: p"
         )
         return keyed_coin_rows(
-            root, u, v, np.zeros(count, dtype=np.int64), p, batch.valid
+            self._round_root(round_index), key_u, key_v,
+            np.zeros_like(key_u), p, batch.valid,
+        )
+
+    def _round_root(self, round_index: int) -> np.uint64:
+        """Key root of one round's candidate coins."""
+        return coin_base(
+            np.random.default_rng([self.seed, round_index, _CANDIDATE_TAG])
         )
 
     # ------------------------------------------------------------------
@@ -328,15 +347,14 @@ class SelectionGainKernel:
         ``gains[j] / num_samples``.  Exact against the shared batch (see
         the module docstring), hence always non-negative.
         """
-        candidates = list(candidates)
+        pool = _CandidatePool(list(candidates), self.plan)
         pairs = [(source, target)]
         batch = self.base_batch(source, target)
         forward: Dict[int, np.ndarray] = {}
         reverse: Dict[int, np.ndarray] = {}
         self._pair_masks(self.plan, batch, pairs, forward, reverse)
-        rows = self.candidate_rows(0, candidates, batch)
         _base, gained = self._pair_counts(
-            self.plan, batch, pairs, candidates, rows, forward, reverse
+            self.plan, batch, pairs, pool, 0, forward, reverse
         )
         return gained[0]
 
@@ -405,8 +423,8 @@ class SelectionGainKernel:
             raise ValueError("pairs must be non-empty")
         candidates = list(candidates)
         selected: List[ProbEdge] = []
-        remaining = list(range(len(candidates)))
         plan = self.plan
+        pool = _CandidatePool(candidates, plan)
         # Seed a query-conditioned factory with the first *useful* pair:
         # a degenerate one (s == t, unknown endpoint) would collapse an
         # adaptive backend's shared batch to a single block for every
@@ -423,32 +441,29 @@ class SelectionGainKernel:
         batch = self.base_batch(*seed_pair)
         forward: Dict[int, np.ndarray] = {}
         reverse: Dict[int, np.ndarray] = {}
-        while len(selected) < k and remaining:
+        while len(selected) < k and pool:
             self._pair_masks(plan, batch, pairs, forward, reverse)
             round_index = len(selected)
-            pool = [candidates[j] for j in remaining]
-            rows = self.candidate_rows(round_index, pool, batch)
             base, gained = self._pair_counts(
-                plan, batch, pairs, pool, rows, forward, reverse
+                plan, batch, pairs, pool, round_index, forward, reverse
             )
-            # First max = lowest candidate index.
+            # First max = lowest candidate index (the pool keeps order).
             best = int(np.argmax(agg(base[:, None] + gained)))
-            edge = candidates[remaining.pop(best)]
+            edge = candidates[pool.pop(best)]
             selected.append(edge)
-            if len(selected) >= k or not remaining:
+            if len(selected) >= k or not pool:
                 break
+            row = self.candidate_rows(round_index, [edge], batch)
             plan = extend_with_overlay(plan, [edge])
-            batch = extend_batch(batch, rows[best][None, :])
+            pool.resolve(plan)
+            batch = extend_batch(batch, row)
             if self.incremental:
-                # No `row = rows[best]` local: a view would keep this
-                # round's whole (candidates, W) coin matrix alive into
-                # the next round's scoring.
                 forward = {
-                    s: self._advance_forward(plan, batch, mask, edge, rows[best])
+                    s: self._advance_forward(plan, batch, mask, edge, row[0])
                     for s, mask in forward.items()
                 }
                 reverse = {
-                    t: self._advance_reverse(plan, batch, mask, edge, rows[best])
+                    t: self._advance_reverse(plan, batch, mask, edge, row[0])
                     for t, mask in reverse.items()
                 }
             else:
@@ -537,32 +552,6 @@ class SelectionGainKernel:
             batch_reach_resume(plan, batch, reached, frontier)
         return reached
 
-    @staticmethod
-    def _resolve_endpoints(
-        plan: QueryPlan,
-        pool: Sequence[ProbEdge],
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Dense ``(ui, vi, known)`` endpoint arrays for a pool.
-
-        Depends only on ``(plan, pool)`` — resolved once per round and
-        reused across every pair of a multi-pair objective.
-        """
-        n = len(pool)
-        ui = np.zeros(n, dtype=np.int64)
-        vi = np.zeros(n, dtype=np.int64)
-        known = np.ones(n, dtype=bool)
-        for i, (u, v, _p) in enumerate(pool):
-            a = plan.node_index(u)
-            b = plan.node_index(v)
-            if a is None or b is None:
-                # A single new edge to a node outside the graph cannot
-                # lie on any s-t path; its gain is structurally zero.
-                known[i] = False
-            else:
-                ui[i] = a
-                vi[i] = b
-        return ui, vi, known
-
     def _pair_masks(
         self,
         plan: QueryPlan,
@@ -598,8 +587,8 @@ class SelectionGainKernel:
         plan: QueryPlan,
         batch: WorldBatch,
         pairs: Sequence[Pair],
-        pool: Sequence[ProbEdge],
-        rows: np.ndarray,
+        pool: _CandidatePool,
+        round_index: int,
         forward: Dict[int, np.ndarray],
         reverse: Dict[int, np.ndarray],
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -610,10 +599,19 @@ class SelectionGainKernel:
         alone connects — exact batch counts against the round's
         maintained masks.  A pair with ``s == t`` is connected in every
         world; one with an endpoint the plan does not know yet, in none.
+
+        A candidate's coins matter only in the words where some pair's
+        gain mask ``(F[u] & R[v] | F[v] & R[u]) & ~already`` is nonzero,
+        so the round draws exactly those words of its keyed rows
+        (:func:`~repro.engine.kernel.keyed_coin_words`), each once
+        across pairs, instead of ``W`` words per candidate.
         """
-        ui, vi, known = self._resolve_endpoints(plan, pool)
         base = np.zeros(len(pairs), dtype=np.int64)
         gained = np.zeros((len(pairs), len(pool)), dtype=np.int64)
+        ui, vi = pool.ui, pool.vi
+        coins = np.zeros((len(pool), batch.num_words), dtype=np.uint64)
+        drawn = np.zeros(coins.shape, dtype=bool)
+        root = self._round_root(round_index)
         for p_i, (s, t) in enumerate(pairs):
             if s == t:
                 base[p_i] = batch.num_samples
@@ -624,14 +622,102 @@ class SelectionGainKernel:
             fwd, rev = forward[s], reverse[t]
             already = fwd[ti]
             base[p_i] = popcount(already).sum()
-            # Per candidate: s⇝u AND v⇝t (plus the swap when undirected).
-            via = fwd[ui] & rev[vi]
+            # Per candidate: s⇝u AND v⇝t (plus the swap when undirected),
+            # in the worlds the pair is not connected in yet.
+            mask = fwd[ui] & rev[vi]
             if not plan.directed:
-                via |= fwd[vi] & rev[ui]
-            via[~known] = 0
-            # ~already sets pad bits, but coin rows keep pad bits zero, so
-            # the AND chain stays pad-clean and popcounts stay exact.
-            gained[p_i] = popcount(rows & via & ~already[None, :]).sum(
-                axis=1, dtype=np.int64
+                mask |= fwd[vi] & rev[ui]
+            mask &= ~already
+            mask[~pool.known] = 0
+            rows, words = np.nonzero((mask != 0) & ~drawn)
+            coins[rows, words] = keyed_coin_words(
+                root, pool.key_u, pool.key_v, np.zeros_like(pool.key_u),
+                pool.p, batch.valid, rows, words,
             )
+            drawn[rows, words] = True
+            gained[p_i] = popcount(coins & mask).sum(axis=1, dtype=np.int64)
         return base, gained
+
+
+def _candidate_arrays(
+    edges: Sequence[ProbEdge], directed: bool, label: str
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coin identities ``(u, v)`` and probabilities of candidate edges.
+
+    Undirected endpoints fold onto ``(min, max)`` like the edge table.
+    ``label`` names the caller in the sanitizer's probability check.
+    """
+    count = len(edges)
+    u = np.fromiter((e[0] for e in edges), dtype=np.int64, count=count)
+    v = np.fromiter((e[1] for e in edges), dtype=np.int64, count=count)
+    p = np.fromiter((e[2] for e in edges), dtype=np.float64, count=count)
+    if sanitize.enabled():
+        sanitize.check_probabilities(p, label)
+    if not directed:
+        u, v = np.minimum(u, v), np.maximum(u, v)
+    return u, v, p
+
+
+class _CandidatePool:
+    """The candidates of one selection call, resolved once.
+
+    Per candidate still in play, in the caller's order: its position in
+    the caller's list (``index``), its coin identity and probability
+    (``key_u``, ``key_v``, ``p``) and the dense plan indices of its
+    endpoints (``ui``, ``vi``, valid where ``known``).  Undirected
+    endpoints are the canonical ``(min, max)``, which the symmetric
+    undirected gain mask does not mind.  A greedy round takes its winner
+    out with :meth:`pop`; :meth:`resolve` looks up only the endpoints
+    still unknown, once a winner has interned new nodes.
+    """
+
+    def __init__(
+        self, candidates: Sequence[ProbEdge], plan: QueryPlan
+    ) -> None:
+        count = len(candidates)
+        self.index = np.arange(count)
+        self.key_u, self.key_v, self.p = _candidate_arrays(
+            candidates, plan.directed, "candidate pool: p"
+        )
+        self.ui = np.zeros(count, dtype=np.int64)
+        self.vi = np.zeros(count, dtype=np.int64)
+        self.known = np.zeros(count, dtype=bool)
+        self._resolved_nodes = 0
+        self.resolve(plan)
+
+    def __len__(self) -> int:
+        return int(self.index.shape[0])
+
+    def resolve(self, plan: QueryPlan) -> None:
+        """Resolve the still-unknown endpoints against a grown ``plan``.
+
+        A candidate with an endpoint the plan does not know keeps
+        ``known`` False and scores zero.  That is exact unless the
+        unknown endpoint is the query's own source or target, where the
+        edge alone can connect the pair; the kernel keeps scoring it
+        zero because fixing that changes selections (ROADMAP.md, open
+        item 5).
+        """
+        if plan.num_nodes == self._resolved_nodes:
+            return
+        self._resolved_nodes = plan.num_nodes
+        todo = np.flatnonzero(~self.known)
+        lookup = plan.index_of.get
+        ui, vi = (
+            np.fromiter(
+                map(lookup, ends[todo].tolist(), repeat(-1)),
+                dtype=np.int64, count=todo.shape[0],
+            )
+            for ends in (self.key_u, self.key_v)
+        )
+        found = (ui >= 0) & (vi >= 0)
+        todo = todo[found]
+        self.ui[todo], self.vi[todo] = ui[found], vi[found]
+        self.known[todo] = True
+
+    def pop(self, row: int) -> int:
+        """Take candidate row ``row`` out; return its caller position."""
+        position = int(self.index[row])
+        for name in ("index", "key_u", "key_v", "p", "ui", "vi", "known"):
+            setattr(self, name, np.delete(getattr(self, name), row))
+        return position

@@ -112,6 +112,41 @@ class TestCSRCompilation:
         # base stays cached and untouched
         assert compile_plan(diamond) is base
 
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_edge_identities_match_edge_index_loop(self, directed):
+        """Identities are filled where edge tables are built; they must
+        equal a loop over ``edge_index`` (the ordinal is the edge id's
+        position in its key's tuple) for compiled, overlay-stacked and
+        reverse plans."""
+
+        def from_edge_index(plan):
+            table = np.empty((3, plan.num_edges), dtype=np.int64)
+            for (key_u, key_v), eids in plan.edge_index.items():
+                for ordinal, eid in enumerate(eids):
+                    table[:, eid] = (key_u, key_v, ordinal)
+            return table
+
+        graph = assign_uniform(
+            erdos_renyi(20, num_edges=40, seed=5, directed=directed),
+            0.1, 0.9, seed=6,
+        )
+        base = compile_plan(graph)
+        u, v, _p = sorted(graph.edges())[0]
+        # Stack twice on an existing key (an undirected (v, u) folds onto
+        # (u, v)) and twice on a key whose endpoint 99 is overlay-only.
+        once = extend_with_overlay(base, [(v, u, 0.3), (u, 99, 0.4)])
+        twice = extend_with_overlay(once, [(u, v, 0.2), (u, 99, 0.5)])
+        assert twice.edge_ordinal[-4:].tolist() == (
+            [0, 0, 1, 1] if directed else [1, 0, 2, 1]
+        )
+        for plan in (base, once, twice, base.reverse_view(),
+                     twice.reverse_view()):
+            got = np.stack([plan.edge_u, plan.edge_v, plan.edge_ordinal])
+            assert np.array_equal(got, from_edge_index(plan))
+        reverse = twice.reverse_view()
+        assert (reverse is twice) != directed
+        assert reverse.edge_u is twice.edge_u
+
     def test_empty_overlay_returns_base(self, diamond):
         base = compile_plan(diamond)
         assert build_query_plan(diamond, None) is base

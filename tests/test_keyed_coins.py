@@ -1,11 +1,17 @@
 """The engine's one coin primitive: keyed, cache-blocked coin rows.
 
-Three contracts of :func:`repro.engine.keyed_coin_rows`:
+Four contracts of :func:`repro.engine.keyed_coin_rows`:
 
 * **Blocking is invisible.**  Rows are generated in cache-sized blocks;
   one row per block, the default block and the whole matrix at once
   give the same bits for world sampling, single-row re-flips and delta
   repair, remainder blocks and pad bits included.
+* **Single words are the rows' words.**
+  :func:`repro.engine.keyed_coin_words` draws word ``words[i]`` of row
+  ``rows[i]`` alone; it equals ``keyed_coin_rows(...)[rows, words]`` at
+  every position, on prefix and concatenated layouts and at any block
+  size, so the selection kernel may draw candidate coins only where a
+  gain mask needs them.
 * **The stream is the documented one.**  A pure-Python reference of the
   keyed construction (top 24 bits of a SplitMix64 mix compared on
   float32's 2^-24 grid) matches the vectorized integer-threshold rows
@@ -28,6 +34,7 @@ from repro.engine import (
     concat_batches,
     edge_coin_row,
     keyed_coin_rows,
+    keyed_coin_words,
     popcount,
     repair_batch,
     sample_worlds,
@@ -115,6 +122,45 @@ def test_blocking_is_bit_identical(monkeypatch, num_samples):
             assert np.array_equal(a, b)
     valid = valid_sample_mask(num_samples)
     assert not (runs[0][0] & ~valid).any()
+
+
+# ----------------------------------------------------------------------
+# single words
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("block", ["one-row", "default"])
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("layout", [1, 63, 64, 65, 1000, "70+9"])
+def test_word_draw_is_the_row_draw(monkeypatch, layout, p, block):
+    if block == "one-row":
+        monkeypatch.setattr(coin_kernel, "_COIN_BLOCK", 1)
+    if layout == "70+9":
+        valid = _layouts()[1].valid
+    else:
+        valid = valid_sample_mask(layout)
+    base = coin_base(np.random.default_rng(9))
+    # Duplicated, reversed, negative and wide node ids.
+    edge_u = np.array([3, 3, 7, -4, 2**40, 0])
+    edge_v = np.array([7, 7, 3, 2, 5, 1])
+    edge_ordinal = np.array([0, 1, 0, 0, 2, 0])
+    probs = np.full(edge_u.shape[0], p)
+    rows_all = keyed_coin_rows(
+        base, edge_u, edge_v, edge_ordinal, probs, valid
+    )
+    # Every position, shuffled, plus repeats: order and multiplicity
+    # must not matter.
+    rows, words = np.nonzero(np.ones(rows_all.shape, dtype=bool))
+    order = np.random.default_rng(3).permutation(rows.shape[0])
+    rows = np.concatenate([rows[order], rows[:5]])
+    words = np.concatenate([words[order], words[:5]])
+    drawn = keyed_coin_words(
+        base, edge_u, edge_v, edge_ordinal, probs, valid, rows, words
+    )
+    assert drawn.dtype == np.uint64
+    assert np.array_equal(drawn, rows_all[rows, words])
+    empty = keyed_coin_words(
+        base, edge_u, edge_v, edge_ordinal, probs, valid, [], []
+    )
+    assert empty.shape == (0,)
 
 
 # ----------------------------------------------------------------------

@@ -233,12 +233,22 @@ def test_sample_worlds_asserts_probs_when_enabled(sanitizer_on):
         sample_worlds(plan, 64, np.random.default_rng(0))
 
 
-def test_candidate_rows_asserts_p_when_enabled(sanitizer_on):
+@pytest.mark.parametrize("call, match", [
+    (lambda kernel, pool: kernel.candidate_rows(0, pool), "candidate_rows"),
+    # The bad candidate never wins, so no winner row is ever drawn for
+    # it: the whole pool must be checked up front.
+    (lambda kernel, pool: kernel.greedy_select(0, 2, 1, pool), "candidate"),
+    (lambda kernel, pool: kernel.top_k(0, 2, 1, pool), "candidate"),
+], ids=["candidate_rows", "greedy_select", "top_k"])
+def test_candidate_rows_asserts_p_when_enabled(sanitizer_on, call, match):
     from repro.engine import SelectionGainKernel
 
-    kernel = SelectionGainKernel(build_graph(), 64, seed=0)
-    with pytest.raises(SanitizerError, match="candidate_rows"):
-        kernel.candidate_rows(0, [(0, 2, 0.5), (1, 0, 1.5)])
+    graph = UncertainGraph.from_edges(
+        [(0, 1, 0.5), (1, 2, 0.5), (0, 3, 0.5), (3, 2, 0.5)], directed=True
+    )
+    kernel = SelectionGainKernel(graph, 64, seed=0)
+    with pytest.raises(SanitizerError, match=match):
+        call(kernel, [(0, 2, 0.5), (1, 3, 1.5)])
 
 
 def test_kernel_accepts_clean_probs_when_enabled(sanitizer_on):

@@ -366,3 +366,111 @@ class TestSessionKernel:
             0, n - 1, 3, pool
         )
         assert via_session == fresh
+
+
+class TestCoinBudget:
+    """Deterministic work counters for candidate coins: a round draws
+    exactly the coin words its gain masks need, so a silent return to
+    dense per-candidate rows fails here on any machine."""
+
+    Z = 640  # W = 10 words
+    K = 3
+    #: Coin words the whole greedy run draws, per fixture: 569 of 1980
+    #: dense words undirected, 360 of 3870 directed.
+    PINNED = {False: 569, True: 360}
+
+    @staticmethod
+    def fixture(directed):
+        n, m, seed = (30, 60, 9) if directed else (40, 60, 9)
+        graph = build_graph(directed, n=n, m=m, seed=seed)
+        source, target = 0, n - 1
+        pool = [
+            (u, v, 0.5)
+            for u in range(12) for v in range(12)
+            if u != v and (directed or u < v) and not graph.has_edge(u, v)
+        ] + [(u, target, 0.5) for u in range(12, 16)]
+        return graph, source, target, pool
+
+    def reference_words(self, graph, source, target, pool, selected):
+        """Per round: nonzero words of the union of the gain masks
+        ``(F[u] & R[v] | F[v] & R[u]) & ~already``, from full re-sweeps
+        of the plan and batch extended with the earlier winners."""
+        kernel = SelectionGainKernel(graph, self.Z, seed=SEED)
+        plan, batch = kernel.plan, kernel.batch
+        remaining = list(pool)
+        per_round = []
+        for round_index, winner in enumerate(selected):
+            fwd = batch_reach(plan, batch, [plan.node_index(source)])
+            rev = batch_reach(
+                plan.reverse_view(), batch, [plan.node_index(target)]
+            )
+            already = fwd[plan.node_index(target)]
+            words = 0
+            for u, v, _p in remaining:
+                a, b = plan.node_index(u), plan.node_index(v)
+                mask = fwd[a] & rev[b]
+                if not graph.directed:
+                    mask |= fwd[b] & rev[a]
+                words += int(np.count_nonzero(mask & ~already))
+            per_round.append(words)
+            remaining.remove(winner)
+            row = kernel.candidate_rows(round_index, [winner], batch)
+            plan = extend_with_overlay(plan, [winner])
+            batch = extend_batch(batch, row)
+        return per_round
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_rounds_draw_only_nonzero_mask_words(self, monkeypatch, directed):
+        from repro.engine import coin_base
+        from repro.engine import selection as selection_mod
+        from repro.engine.selection import _CANDIDATE_TAG
+
+        graph, source, target, pool = self.fixture(directed)
+        draws = []  # (round root, words drawn)
+        real_draw = selection_mod.keyed_coin_words
+
+        def spy_draw(base, *args):
+            draws.append((int(base), len(args[-1])))
+            return real_draw(base, *args)
+
+        row_calls = []
+        real_rows = SelectionGainKernel.candidate_rows
+
+        def spy_rows(kernel, round_index, edges, batch=None):
+            row_calls.append((round_index, list(edges)))
+            return real_rows(kernel, round_index, edges, batch)
+
+        monkeypatch.setattr(selection_mod, "keyed_coin_words", spy_draw)
+        monkeypatch.setattr(SelectionGainKernel, "candidate_rows", spy_rows)
+        kernel = SelectionGainKernel(graph, self.Z, seed=SEED)
+        selected = kernel.greedy_select(source, target, self.K, pool)
+        assert len(selected) == self.K
+        # One full row per committed winner, none for the last round.
+        assert row_calls == [
+            (r, [selected[r]]) for r in range(self.K - 1)
+        ]
+        roots = [
+            int(coin_base(np.random.default_rng([SEED, r, _CANDIDATE_TAG])))
+            for r in range(self.K)
+        ]
+        assert {root for root, _ in draws} <= set(roots)
+        per_round = [
+            sum(words for root, words in draws if root == r) for r in roots
+        ]
+        monkeypatch.undo()
+        assert per_round == self.reference_words(
+            graph, source, target, pool, selected
+        )
+        total = sum(per_round)
+        assert total == self.PINNED[directed]
+        dense = len(pool) * kernel.batch.num_words * self.K
+        assert total < dense // 3
+
+        # Top-k scores one round: round 0's words, no full rows.
+        draws.clear()
+        monkeypatch.setattr(selection_mod, "keyed_coin_words", spy_draw)
+        monkeypatch.setattr(SelectionGainKernel, "candidate_rows", spy_rows)
+        row_calls.clear()
+        kernel.top_k(source, target, self.K, pool)
+        assert sum(words for _, words in draws) == per_round[0]
+        assert row_calls == []
