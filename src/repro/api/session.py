@@ -11,8 +11,9 @@ that graph wants to share:
   all answered inside the *same* sampled worlds, so an N-query workload
   pays one coin-flip pass instead of N;
 * a **seeded RNG discipline** — a batch for ``(Z, seed)`` is always the
-  worlds a fresh engine with that seed would sample, so session-batched
-  results are bit-for-bit identical to one-off estimator calls.
+  worlds a fresh estimator with that seed would sample, so
+  session-batched results are bit-for-bit identical to one-off
+  estimator calls.
 
 Mutating the graph bumps ``UncertainGraph.version``; the session notices
 on the next query and evicts both the plan reference and every cached
@@ -57,6 +58,7 @@ from ..engine import (
     compile_plan,
     extract_world_columns,
     extract_worlds,
+    overlay_batch,
     pair_hit_fractions,
     repair_batch,
     sample_worlds,
@@ -373,8 +375,8 @@ class Session:
         ``source`` names the tier that answered: ``"memory"`` (session
         cache), ``"store"`` (memory-mapped from the persistent index),
         or ``"sampled"`` (fresh coin flips — persisted back to the
-        store when one is attached).  Every tier yields bit-for-bit the
-        batch a fresh engine seeded ``seed`` would sample — the
+        store when one is attached).  Every tier yields bit-for-bit
+        ``sample_worlds(plan, samples, default_rng(seed))`` — the
         property the parity tests pin down.
         """
         self._affinity.check("Session.world_batch")
@@ -919,14 +921,20 @@ class Session:
         samples: Optional[int] = None,
         seed: Optional[int] = None,
     ) -> List[float]:
-        """Paired-seed MC evaluation of pairs, batched where possible.
+        """Paired-seed MC evaluation of pairs in the session's worlds.
 
-        Without an overlay the pairs are answered from the session's
-        shared evaluation batch; with candidate ``extra_edges`` a fresh
-        paired estimator runs over the merged plan.  Both produce the
-        exact values a standalone ``MonteCarloEstimator`` with the same
-        ``(Z, seed)`` would, so gains stay comparable across methods
-        and sessions.
+        Every pair is answered inside the session's cached ``(Z, seed)``
+        world batch (:meth:`world_batch`).  Candidate ``extra_edges``
+        extend that batch with the overlay's keyed coin rows under the
+        batch's key root ``coin_base(default_rng(seed))``
+        (:func:`repro.engine.overlay_batch`), so only the overlay edges
+        are flipped.  Either way the values equal what a standalone
+        ``MonteCarloEstimator(Z, seed=seed).pair_reliabilities`` returns
+        for the same pairs and overlay, so gains stay comparable across
+        methods and sessions.  Overlay-free evaluations share the
+        store's result cache and the reach-fixpoint cache with ``mc``
+        reliability queries; overlay evaluations read and write
+        neither.
         """
         self._affinity.check("Session.evaluate_pairs")
         _check_sampling(samples, seed)
@@ -936,18 +944,17 @@ class Session:
         if not pairs:
             return []
         if not extra_edges:
-            # pair_hit_fractions implements the same unknown-endpoint /
-            # s==t semantics as the estimators, so every overlay-free
-            # evaluation reuses the session's cached batch.
-            # Overlay-free evaluations share the "mc" result-cache
-            # namespace with mc reliability queries: both are the same
-            # deterministic hit-fraction over the same (Z, seed) batch.
+            # The same deterministic hit fractions over the same
+            # (Z, seed) batch as mc reliability queries, so they share
+            # the "mc" result-cache namespace.
             values, _, _, _ = self._shared_values("mc", pairs, samples, seed)
-            return [values[pair] for pair in pairs]
-        estimator = make_estimator("mc", samples, seed=seed)
-        return estimator.reliability_many(
-            self.graph, pairs, list(extra_edges) if extra_edges else None
-        )
+        else:
+            plan, batch = overlay_batch(
+                self.plan()[0], self.world_batch(samples, seed)[0],
+                coin_base(np.random.default_rng(seed)), extra_edges,
+            )
+            values = pair_hit_fractions(plan, batch, pairs, samples)
+        return [values[pair] for pair in pairs]
 
     def evaluate(
         self,

@@ -14,7 +14,7 @@ from ..engine.csr import QueryPlan
 from ..engine.kernel import WorldBatch
 from ..engine.selection import SelectionGainKernel
 from ..graph import UncertainGraph
-from ..reliability.estimator import resolve_selection_backend
+from ..reliability.estimator import ReliabilityEstimator
 
 Edge = Tuple[int, int]
 ProbEdge = Tuple[int, int, float]
@@ -23,7 +23,7 @@ NewEdgeProbability = Callable[[int, int], float]
 
 def selection_kernel_for(
     graph: UncertainGraph,
-    estimator,
+    estimator: ReliabilityEstimator,
     kernel: Optional[SelectionGainKernel] = None,
     *,
     plan: Optional[QueryPlan] = None,
@@ -49,15 +49,17 @@ def selection_kernel_for(
     """
     if kernel is not None:
         return kernel
-    backend = resolve_selection_backend(estimator)
+    backend = estimator.selection_backend()
     if backend is None:
         return None
-    num_samples, seed = backend
-    factory = getattr(backend, "make_batch", None)
-    batch = worlds(num_samples, seed) if worlds and factory is None else None
+    factory = backend.make_batch
+    batch = (
+        worlds(backend.num_samples, backend.seed)
+        if worlds and factory is None else None
+    )
     return SelectionGainKernel(
-        graph, num_samples, seed=seed, plan=plan, batch=batch,
-        batch_factory=factory,
+        graph, backend.num_samples, seed=backend.seed, plan=plan,
+        batch=batch, batch_factory=factory,
     )
 
 

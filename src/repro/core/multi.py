@@ -97,17 +97,21 @@ class MultiSourceTargetMaximizer:
     ) -> Dict[Pair, float]:
         """Paired-seed evaluation of every pair's reliability.
 
-        Goes through the batched ``reliability_many`` entry point, so
-        one compiled plan and one shared world batch are amortized
-        across the whole ``S x T`` workload.
+        Runs :meth:`repro.api.Session.evaluate_pairs` on a session over
+        ``graph`` with this solver's evaluation ``(Z, seed)``, so one
+        compiled plan and one shared world batch are amortized across
+        the whole ``S x T`` workload.
         """
+        from ..api import Session  # local: repro.api imports repro.core
+
         pairs = list(pairs)
-        estimator = make_estimator(
-            "mc", self.evaluation_samples, seed=self.evaluation_seed
+        session = Session(
+            graph,
+            estimator=self.estimator,
+            evaluation_samples=self.evaluation_samples,
+            evaluation_seed=self.evaluation_seed,
         )
-        values = estimator.reliability_many(
-            graph, pairs, list(extra_edges) if extra_edges else None
-        )
+        values = session.evaluate_pairs(pairs, extra_edges)
         return dict(zip(pairs, values, strict=True))
 
     def candidate_space(

@@ -3,9 +3,11 @@
 The engine is the repo's shared Monte Carlo hot path: a cached CSR-style
 compilation of :class:`~repro.graph.UncertainGraph` (:mod:`.csr`), a
 bit-packed batch world-sampling + BFS kernel that advances all ``Z``
-samples per sweep (:mod:`.kernel`), and a high-level
-:class:`VectorizedSamplingEngine` the reliability estimators delegate to
-(:mod:`.batch`).  See ROADMAP.md ("Vectorized sampling engine") for the
+samples per sweep (:mod:`.kernel`), and the module functions the
+reliability estimators call with their own seeded generators
+(:mod:`.batch`: one sampling function with optional pinned edge states,
+answer functions over a given ``(plan, batch)``, and overlay extension
+of a stored batch).  See ``docs/architecture.md`` (layer 1) for the
 architecture narrative.
 """
 
@@ -50,9 +52,10 @@ from .kernel import (
     world_index_of,
 )
 from .batch import (
-    VectorizedSamplingEngine,
+    overlay_batch,
+    pair_fraction,
     pair_hit_fractions,
-    reach_counts_dict,
+    reach_frequencies,
 )
 from .selection import SelectionGainKernel
 
@@ -93,8 +96,9 @@ __all__ = [
     "unpack_word_row",
     "valid_sample_mask",
     "world_index_of",
-    "VectorizedSamplingEngine",
+    "overlay_batch",
+    "pair_fraction",
     "pair_hit_fractions",
-    "reach_counts_dict",
+    "reach_frequencies",
     "SelectionGainKernel",
 ]

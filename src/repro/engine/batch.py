@@ -1,38 +1,147 @@
-"""High-level vectorized sampling engine.
+"""The estimators' engine seam: sample world batches, answer over them.
 
-:class:`VectorizedSamplingEngine` is the estimator-facing surface of the
-engine: it owns a seeded :class:`numpy.random.Generator`, compiles (or
-reuses the cached compilation of) the query plan, samples a batch of
-possible worlds, and reduces reached-bitmasks into the estimates the
-:class:`~repro.reliability.estimator.ReliabilityEstimator` interface
-promises.
+Every registry estimator (``mc``/``lazy``, the Monte Carlo leaves of
+``rss``, ``adaptive``) holds its own seeded
+:class:`numpy.random.Generator` and calls the module functions here:
 
-Statistical contract: every method is an unbiased possible-world Monte
-Carlo estimate with one coin per canonical edge per world.  Each batch
-draws a uint64 base from the engine's PCG64 generator and expands it
+* :func:`sample` draws one batch of worlds over a plan, optionally with
+  edge states pinned (the stratified sampler's conditioning);
+* the answer functions reduce a *given* ``(plan, batch)``:
+  :func:`pair_fraction` (one pair), :func:`reach_frequencies` (every
+  node's frequency of being reached from a source set) and
+  :func:`pair_hit_fractions` (many pairs, one sweep per distinct
+  source);
+* :func:`overlay_batch` extends a stored batch with an overlay's keyed
+  coin rows, which is how :class:`~repro.reliability.BFSSharingIndex`
+  and :meth:`repro.api.Session.evaluate_pairs` answer overlay queries
+  without resampling the base edges.
+
+``sample_worlds`` and :func:`pair_hit_fractions` are module globals
+that estimator calls resolve at call time (estimators import this
+module, not its names), which is where ``perfbench/spans.py`` wraps
+them to time sampling and sweeps.
+
+Statistical contract: every estimate is an unbiased possible-world
+Monte Carlo estimate with one coin per canonical edge per world.  A
+batch draws one uint64 base from the caller's generator and expands it
 through identity-keyed SplitMix64 counters (see
-:func:`repro.engine.kernel.sample_worlds`), so estimates with the same
-seed are bit-for-bit deterministic.
+:func:`repro.engine.kernel.sample_worlds`), so equal seeds and equal
+call sequences give bit-for-bit equal estimates.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..graph import UncertainGraph
-from .csr import ProbEdge, QueryPlan, build_query_plan
+from ..analysis import sanitize
+from .csr import EdgeKey, ProbEdge, QueryPlan, extend_with_overlay
 from .kernel import (
     WorldBatch,
     batch_reach,
+    extend_batch,
     hit_fraction,
+    keyed_coin_rows,
     popcount,
     reach_each,
     sample_worlds,
 )
 
 Pair = Tuple[int, int]
+
+
+def sample(
+    plan: QueryPlan,
+    num_samples: int,
+    rng: np.random.Generator,
+    forced: Optional[Mapping[EdgeKey, bool]] = None,
+) -> WorldBatch:
+    """Sample ``num_samples`` worlds over ``plan``'s edge table.
+
+    ``forced`` maps canonical edge keys (node-id space) to pinned
+    states; a key shared by several physical edges pins all of them.
+    """
+    forced_true: List[int] = []
+    forced_false: List[int] = []
+    for key, state in (forced or {}).items():
+        (forced_true if state else forced_false).extend(
+            plan.edge_index.get(key, ())
+        )
+    return sample_worlds(plan, num_samples, rng, forced_true, forced_false)
+
+
+def overlay_batch(
+    plan: QueryPlan,
+    batch: WorldBatch,
+    base: np.uint64,
+    extra_edges: Optional[Iterable[ProbEdge]],
+) -> Tuple[QueryPlan, WorldBatch]:
+    """``plan`` and ``batch`` extended with the overlay's keyed coin rows.
+
+    ``batch`` must be the worlds :func:`~repro.engine.kernel.sample_worlds_keyed`
+    draws over ``plan`` from key root ``base``.  Each overlay edge then
+    gets exactly the row a fresh sample of the merged plan from the
+    same root would draw, so the result is bit-identical to resampling
+    ``extend_with_overlay(plan, extra_edges)`` while flipping only
+    ``len(extra_edges)`` rows.  An empty overlay returns the inputs.
+    """
+    extra = list(extra_edges) if extra_edges else []
+    if not extra:
+        return plan, batch
+    merged = extend_with_overlay(plan, extra)
+    new = slice(plan.num_edges, merged.num_edges)
+    probs = merged.probs[new]
+    if sanitize.enabled():
+        sanitize.check_probabilities(probs, "overlay_batch: overlay probs")
+    rows = keyed_coin_rows(
+        base, merged.edge_u[new], merged.edge_v[new],
+        merged.edge_ordinal[new], probs, batch.valid,
+    )
+    return merged, extend_batch(batch, rows)
+
+
+def pair_fraction(
+    plan: QueryPlan, batch: WorldBatch, source: int, target: int
+) -> float:
+    """Fraction of ``batch``'s worlds in which ``source`` reaches ``target``.
+
+    1.0 when ``source == target`` and 0.0 for an endpoint ``plan`` does
+    not know.  The sweep stops as soon as every world reached the
+    target.
+    """
+    if source == target:
+        return 1.0
+    src = plan.node_index(source)
+    dst = plan.node_index(target)
+    if src is None or dst is None:
+        return 0.0
+    reached = batch_reach(plan, batch, [src], target_index=dst)
+    return hit_fraction(reached[dst], batch.num_samples)
+
+
+def reach_frequencies(
+    plan: QueryPlan, batch: WorldBatch, sources: Sequence[int]
+) -> Dict[int, float]:
+    """Per-node frequency of being reached from *any* of ``sources``.
+
+    All sources seed one reached-bitmask, so each world is shared
+    across them.  Only nodes reached in some world appear, and every
+    source ``plan`` knows maps to 1.0; unknown sources are skipped
+    (none known gives ``{}``).
+    """
+    known = [s for s in sources if plan.node_index(s) is not None]
+    if not known:
+        return {}
+    reached = batch_reach(plan, batch, [plan.index_of[s] for s in known])
+    counts = popcount(reached).sum(axis=1)
+    result = {
+        plan.node_ids[int(i)]: int(counts[i]) / batch.num_samples
+        for i in np.flatnonzero(counts)
+    }
+    for s in known:
+        result[s] = 1.0
+    return result
 
 
 def pair_hit_fractions(
@@ -48,8 +157,8 @@ def pair_hit_fractions(
     BFS sweep, and the distinct sources are swept together by
     :func:`~repro.engine.kernel.reach_each` (frontier-gated fused
     passes within a memory budget).  ``s == t`` pairs are 1.0 and
-    endpoints unknown to the plan are 0.0 (matching the single-pair
-    estimators' semantics).
+    endpoints unknown to the plan are 0.0 (matching
+    :func:`pair_fraction`).
 
     ``reach_cache`` maps dense source indices to full ``(n, W)``
     reached-fixpoint matrices over exactly this ``(plan, batch)``:
@@ -100,193 +209,3 @@ def pair_hit_fractions(
             reach_cache[src] = rows
         _reduce(s, rows)
     return result
-
-
-def reach_counts_dict(
-    plan: QueryPlan,
-    reached: "np.ndarray",
-    num_samples: int,
-    sources: Sequence[int],
-) -> Dict[int, float]:
-    """Reduce a reached-bitmask into a node-id -> frequency dict.
-
-    Only nodes reached in at least one world appear; the sources are
-    pinned to 1.0 (they are reached in every world by definition).
-    """
-    counts = popcount(reached).sum(axis=1)
-    nonzero = np.flatnonzero(counts)
-    result = {
-        plan.node_ids[int(i)]: int(counts[i]) / num_samples
-        for i in nonzero
-    }
-    for s in sources:
-        result[s] = 1.0
-    return result
-
-
-class VectorizedSamplingEngine:
-    """Batch possible-world sampler over cached CSR plans.
-
-    Parameters
-    ----------
-    seed:
-        Seed for the engine's PCG64 generator.  The generator is
-        stateful: repeated calls advance the stream, and two engines
-        built with the same seed replay the same estimates for the same
-        query sequence.
-    """
-
-    def __init__(self, seed: int = 0) -> None:
-        self.seed = seed
-        self._rng = np.random.default_rng(seed)
-
-    # ------------------------------------------------------------------
-    # world sampling (low-level, reused by BFS-sharing / RSS)
-    # ------------------------------------------------------------------
-    def sample_worlds(
-        self,
-        plan: QueryPlan,
-        num_samples: int,
-        forced_true: Iterable[int] = (),
-        forced_false: Iterable[int] = (),
-    ) -> WorldBatch:
-        """Sample ``num_samples`` worlds over ``plan``'s edge table."""
-        return sample_worlds(
-            plan, num_samples, self._rng, forced_true, forced_false
-        )
-
-    # ------------------------------------------------------------------
-    # estimator surface
-    # ------------------------------------------------------------------
-    def reliability(
-        self,
-        graph: UncertainGraph,
-        source: int,
-        target: int,
-        num_samples: int,
-        extra_edges: Optional[Sequence[ProbEdge]] = None,
-    ) -> float:
-        """Fraction of sampled worlds in which ``target`` is reachable.
-
-        Overlay endpoints count as nodes: an endpoint named only by
-        ``extra_edges`` is reachable through them.
-        """
-        if source == target:
-            return 1.0
-        plan = build_query_plan(graph, extra_edges)
-        src = plan.node_index(source)
-        dst = plan.node_index(target)
-        if src is None or dst is None:
-            return 0.0
-        batch = self.sample_worlds(plan, num_samples)
-        reached = batch_reach(plan, batch, [src], target_index=dst)
-        return hit_fraction(reached[dst], num_samples)
-
-    def reachability_from(
-        self,
-        graph: UncertainGraph,
-        source: int,
-        num_samples: int,
-        extra_edges: Optional[Sequence[ProbEdge]] = None,
-    ) -> Dict[int, float]:
-        """Per-node reach frequency from ``source`` (non-zero entries)."""
-        if source not in graph:
-            return {}
-        plan = build_query_plan(graph, extra_edges)
-        batch = self.sample_worlds(plan, num_samples)
-        reached = batch_reach(plan, batch, [plan.node_index(source)])
-        return reach_counts_dict(plan, reached, num_samples, [source])
-
-    def pair_reliabilities(
-        self,
-        graph: UncertainGraph,
-        pairs: Sequence[Pair],
-        num_samples: int,
-        extra_edges: Optional[Sequence[ProbEdge]] = None,
-    ) -> Dict[Pair, float]:
-        """Shared-world reliability of several pairs.
-
-        One world batch is sampled and every pair is answered inside it,
-        so pair estimates are mutually consistent — and the plan
-        compilation plus coin flips are amortized over all pairs.
-        """
-        if not pairs:
-            return {}
-        plan = build_query_plan(graph, extra_edges)
-        batch = self.sample_worlds(plan, num_samples)
-        return pair_hit_fractions(plan, batch, pairs, num_samples)
-
-    def multi_source_reachability(
-        self,
-        graph: UncertainGraph,
-        sources: Sequence[int],
-        num_samples: int,
-        extra_edges: Optional[Sequence[ProbEdge]] = None,
-    ) -> Dict[int, float]:
-        """Per-node frequency of being reached from *any* source.
-
-        All sources are seeded into one reached-bitmask, so each world
-        is shared across sources by construction.
-        """
-        valid_sources = [s for s in sources if s in graph]
-        if not valid_sources:
-            return {}
-        plan = build_query_plan(graph, extra_edges)
-        batch = self.sample_worlds(plan, num_samples)
-        indices = [plan.node_index(s) for s in valid_sources]
-        reached = batch_reach(plan, batch, indices)
-        return reach_counts_dict(plan, reached, num_samples, valid_sources)
-
-    # ------------------------------------------------------------------
-    # stratified leaves (RSS delegation)
-    # ------------------------------------------------------------------
-    def stratified_reliability(
-        self,
-        plan: QueryPlan,
-        source: int,
-        target: int,
-        forced: Dict[Tuple[int, int], bool],
-        num_samples: int,
-    ) -> float:
-        """Monte Carlo hit rate conditioned on forced edge states.
-
-        ``forced`` maps canonical edge keys (node-id space) to pinned
-        states; keys shared by several physical edges pin all of them.
-        """
-        src = plan.node_index(source)
-        dst = plan.node_index(target)
-        if src is None or dst is None:
-            return 0.0
-        forced_true, forced_false = self._forced_ids(plan, forced)
-        batch = self.sample_worlds(plan, num_samples, forced_true, forced_false)
-        reached = batch_reach(plan, batch, [src], target_index=dst)
-        return hit_fraction(reached[dst], num_samples)
-
-    def stratified_reach_counts(
-        self,
-        plan: QueryPlan,
-        source: int,
-        forced: Dict[Tuple[int, int], bool],
-        num_samples: int,
-    ) -> Dict[int, float]:
-        """Per-node reach frequency conditioned on forced edge states."""
-        src = plan.node_index(source)
-        if src is None:
-            return {}
-        forced_true, forced_false = self._forced_ids(plan, forced)
-        batch = self.sample_worlds(plan, num_samples, forced_true, forced_false)
-        reached = batch_reach(plan, batch, [src])
-        return reach_counts_dict(plan, reached, num_samples, [source])
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _forced_ids(
-        plan: QueryPlan,
-        forced: Dict[Tuple[int, int], bool],
-    ) -> Tuple[List[int], List[int]]:
-        forced_true: List[int] = []
-        forced_false: List[int] = []
-        for key, state in forced.items():
-            ids = plan.edge_index.get(key, ())
-            (forced_true if state else forced_false).extend(ids)
-        return forced_true, forced_false

@@ -202,8 +202,8 @@ class SelectionGainKernel:
     num_samples:
         Worlds per estimate (``Z``).
     seed:
-        Root seed: the base batch is the batch a fresh engine seeded
-        ``seed`` would sample, and candidate coin rows derive from
+        Root seed: the base batch is ``sample_worlds(plan, Z,
+        default_rng(seed))``, and candidate coin rows derive from
         ``(seed, round, endpoints)``, so selections are deterministic
         regardless of any sampler's prior call history.
     plan / batch:

@@ -5,7 +5,6 @@ from .estimator import (
     ReliabilityEstimator,
     SelectionBackend,
     build_overlay,
-    resolve_selection_backend,
     reverse_overlay,
 )
 from .exact import (
@@ -42,7 +41,6 @@ __all__ = [
     "ReliabilityEstimator",
     "SelectionBackend",
     "build_overlay",
-    "resolve_selection_backend",
     "reverse_overlay",
     "ExactEstimator",
     "exact_reliability",

@@ -16,14 +16,10 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from ..engine import (
-    VectorizedSamplingEngine,
-    batch_reach,
-    build_query_plan,
-    concat_batches,
-    popcount,
-    sample_worlds,
-)
+from ..engine import batch_reach, build_query_plan, concat_batches, popcount
+# Block sampling goes through the module so wrappers installed on its
+# globals (perfbench/spans.py) see it.
+from ..engine import batch as engine_batch
 from ..graph import UncertainGraph
 from .estimator import Overlay, ReliabilityEstimator, SelectionBackend
 from .monte_carlo import MonteCarloEstimator
@@ -89,14 +85,15 @@ class AdaptiveMonteCarlo(ReliabilityEstimator):
     max_samples:
         Hard budget cap (the estimator always stops here).
     seed:
-        Seed of the engine generator that samples each block.
+        Seed of the estimator's generator, which samples each block
+        (and seeds the fixed-budget fallback of vector queries).
 
     Notes
     -----
-    Each sample block is a fresh engine batch (block sampling maps
-    directly onto ``sample_worlds`` with incremental Z).  Because Z is
-    chosen at query time, the estimator cannot reuse a pre-sampled
-    shared batch (see :mod:`repro.reliability.registry`).
+    Each sample block is a fresh world batch (block sampling maps
+    directly onto :func:`repro.engine.batch.sample` with incremental
+    Z).  Because Z is chosen at query time, the estimator cannot reuse
+    a pre-sampled shared batch (see :mod:`repro.reliability.registry`).
     """
 
     name = "adaptive-mc"
@@ -118,9 +115,10 @@ class AdaptiveMonteCarlo(ReliabilityEstimator):
         self.confidence = confidence
         self.block_size = block_size
         self.max_samples = max_samples
+        self.seed = seed
+        self._rng = np.random.default_rng(seed)
         # Seeds the fixed-budget fallback of vector queries.
-        self._rng = random.Random(seed)
-        self._engine = VectorizedSamplingEngine(seed)
+        self._fallback_seeds = random.Random(seed)
 
     # ------------------------------------------------------------------
     # batched selection backend (per-block shared worlds)
@@ -137,8 +135,7 @@ class AdaptiveMonteCarlo(ReliabilityEstimator):
         what the gain kernel needs for comparable popcount gains.
         """
         return SelectionBackend(
-            self.max_samples, self._engine.seed,
-            make_batch=self.selection_batch,
+            self.max_samples, self.seed, make_batch=self.selection_batch
         )
 
     def selection_batch(self, graph, plan, source, target):
@@ -152,14 +149,14 @@ class AdaptiveMonteCarlo(ReliabilityEstimator):
         like one batch of the accumulated ``Z``.  Deterministic for a
         fixed seed; degenerate endpoints stop after one block.
         """
-        rng = np.random.default_rng(self._engine.seed)
+        rng = np.random.default_rng(self.seed)
         src = plan.node_index(source)
         dst = plan.node_index(target)
         blocks = []
         hits, samples = 0, 0
         while samples < self.max_samples:
             size = min(self.block_size, self.max_samples - samples)
-            block = sample_worlds(plan, size, rng)
+            block = engine_batch.sample(plan, size, rng)
             blocks.append(block)
             samples += size
             if src is None or dst is None or src == dst:
@@ -196,7 +193,7 @@ class AdaptiveMonteCarlo(ReliabilityEstimator):
         hits, samples = 0, 0
         while samples < self.max_samples:
             block = min(self.block_size, self.max_samples - samples)
-            batch = self._engine.sample_worlds(plan, block)
+            batch = engine_batch.sample(plan, block, self._rng)
             reached = batch_reach(plan, batch, [src], target_index=dst)
             hits += int(popcount(reached[dst]).sum())
             samples += block
@@ -228,6 +225,6 @@ class AdaptiveMonteCarlo(ReliabilityEstimator):
         """Vector queries fall back to fixed-budget MC at the cap/10."""
         budget = max(self.block_size, self.max_samples // 10)
         fallback = MonteCarloEstimator(
-            budget, seed=self._rng.randrange(2**31)
+            budget, seed=self._fallback_seeds.randrange(2**31)
         )
         return fallback.reachability_from(graph, source, extra_edges)

@@ -12,8 +12,10 @@ matrix and every query is a batch BFS over all worlds at once.
 
 Overlay (``extra_edges``) support: stored worlds cover only the indexed
 graph; each overlay edge gets the identity-keyed coin row a fresh
-sample of the merged plan would give it (:func:`repro.engine.keyed_coin_rows`),
-so repeated queries see identical overlay states and an overlay query
+sample of the merged plan would give it
+(:func:`repro.engine.overlay_batch`, the helper
+:meth:`repro.api.Session.evaluate_pairs` uses for the same purpose), so
+repeated queries see identical overlay states and an overlay query
 answers bit-for-bit like a fresh ``mc`` estimator with the same seed.
 """
 
@@ -24,15 +26,12 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from ..engine import (
-    batch_reach,
     coin_base,
     compile_plan,
-    extend_batch,
-    extend_with_overlay,
-    hit_fraction,
-    keyed_coin_rows,
+    overlay_batch,
+    pair_fraction,
     pair_hit_fractions,
-    reach_counts_dict,
+    reach_frequencies,
     sample_worlds_keyed,
 )
 from ..graph import UncertainGraph
@@ -84,20 +83,15 @@ class BFSSharingIndex(ReliabilityEstimator):
 
         ``graph`` must be the indexed graph (defensive check by
         identity); pass ``extra_edges`` for candidate-edge overlays.
+        An endpoint named by neither the snapshot nor the overlay (e.g.
+        added to the graph after the snapshot was built) is isolated in
+        every stored world.
         """
         self._check(graph)
         if source == target:
             return 1.0
         plan, batch = self._query_batch(extra_edges)
-        src = plan.node_index(source)
-        dst = plan.node_index(target)
-        if src is None or dst is None:
-            # Named by neither the snapshot nor the overlay (e.g. added
-            # to the graph after the snapshot was built): it is
-            # isolated in every stored world.
-            return 0.0
-        reached = batch_reach(plan, batch, [src], target_index=dst)
-        return hit_fraction(reached[dst], self.num_samples)
+        return pair_fraction(plan, batch, source, target)
 
     def reachability_from(
         self,
@@ -106,14 +100,12 @@ class BFSSharingIndex(ReliabilityEstimator):
         extra_edges: Overlay = None,
     ) -> Dict[int, float]:
         self._check(graph)
-        if source not in graph:
-            return {}
         plan, batch = self._query_batch(extra_edges)
-        src = plan.node_index(source)
-        if src is None:
-            return {source: 1.0}
-        reached = batch_reach(plan, batch, [src])
-        return reach_counts_dict(plan, reached, self.num_samples, [source])
+        if plan.node_index(source) is None:
+            # Added to the graph after the snapshot: isolated in every
+            # stored world.
+            return {source: 1.0} if source in graph else {}
+        return reach_frequencies(plan, batch, [source])
 
     def pair_reliabilities(
         self,
@@ -140,13 +132,4 @@ class BFSSharingIndex(ReliabilityEstimator):
 
     def _query_batch(self, extra_edges: Overlay):
         """Stored worlds, extended with the overlay edges' keyed coin rows."""
-        extra = list(extra_edges) if extra_edges else None
-        if not extra:
-            return self._plan, self._batch
-        plan = extend_with_overlay(self._plan, extra)
-        new = slice(self._plan.num_edges, plan.num_edges)
-        rows = keyed_coin_rows(
-            self._base, plan.edge_u[new], plan.edge_v[new],
-            plan.edge_ordinal[new], plan.probs[new], self._batch.valid,
-        )
-        return plan, extend_batch(self._batch, rows)
+        return overlay_batch(self._plan, self._batch, self._base, extra_edges)

@@ -15,40 +15,35 @@ candidate-edge evaluation never needs to copy the graph.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..engine.selection import BatchFactory
 from ..graph import UncertainGraph
 
 ProbEdge = Tuple[int, int, float]
 Overlay = Optional[Iterable[ProbEdge]]
 
 
-class SelectionBackend(tuple):
+@dataclass(frozen=True)
+class SelectionBackend:
     """Descriptor of an estimator's shared-world selection backend.
 
-    Behaves exactly like the legacy ``(num_samples, seed)`` 2-tuple —
-    unpacking and equality against plain tuples keep working — plus an
-    optional ``make_batch`` factory
-    (``make_batch(graph, plan, source, target) -> WorldBatch``) for
-    estimators whose base batch is conditioned per query: recursive
-    stratified sampling builds a level-1 *per-stratum* batch and
-    adaptive MC a *per-block* batch grown until its confidence interval
-    is tight.  ``make_batch=None`` means the plain i.i.d. batch a fresh
-    engine seeded ``seed`` would sample (plain MC / lazy propagation).
+    ``num_samples`` and ``seed`` size and seed the base world batch the
+    selection-gain kernel scores candidates against.  ``make_batch``
+    (``make_batch(graph, plan, source, target) -> WorldBatch``) builds
+    that batch per query for estimators whose sampling is conditioned
+    on the query: recursive stratified sampling builds a level-1
+    *per-stratum* batch and adaptive MC a *per-block* batch grown until
+    its confidence interval is tight.  ``make_batch=None`` means the
+    plain i.i.d. batch ``sample_worlds(plan, num_samples,
+    default_rng(seed))`` (plain MC / lazy propagation), which a session
+    may serve from its cache.
     """
 
-    def __new__(cls, num_samples: int, seed: int, make_batch=None):
-        self = super().__new__(cls, (int(num_samples), int(seed)))
-        self.make_batch = make_batch
-        return self
-
-    @property
-    def num_samples(self) -> int:
-        return self[0]
-
-    @property
-    def seed(self) -> int:
-        return self[1]
+    num_samples: int
+    seed: int
+    make_batch: Optional[BatchFactory] = None
 
 
 def build_overlay(
@@ -64,21 +59,6 @@ def build_overlay(
         if not graph.directed:
             overlay.setdefault(v, []).append((u, p))
     return overlay
-
-
-def resolve_selection_backend(estimator) -> Optional[Tuple[int, int]]:
-    """Duck-typed :meth:`ReliabilityEstimator.selection_backend` lookup.
-
-    The single place routing layers (baselines, sessions) consult, so
-    third-party estimators only need the method — not the base class —
-    to opt into batched selection.  The result is ``None`` or a
-    ``(num_samples, seed)`` tuple, possibly a :class:`SelectionBackend`
-    carrying a ``make_batch`` factory (read with
-    ``getattr(backend, "make_batch", None)`` so plain tuples keep
-    working).
-    """
-    backend = getattr(estimator, "selection_backend", None)
-    return backend() if callable(backend) else None
 
 
 def reverse_overlay(
@@ -114,7 +94,9 @@ class ReliabilityEstimator(ABC):
         """Probability that each node is reachable *from* ``source``.
 
         Returns a dict containing every node with non-zero estimated
-        reachability (``source`` maps to 1.0).
+        reachability (``source`` maps to 1.0), overlay-only nodes
+        included; a source neither the graph nor the overlay names
+        gives ``{}``.
         """
 
     def reachability_to(
@@ -151,40 +133,23 @@ class ReliabilityEstimator(ABC):
             for s, t in pairs
         }
 
-    def reliability_many(
-        self,
-        graph: UncertainGraph,
-        pairs: Sequence[Tuple[int, int]],
-        extra_edges: Overlay = None,
-    ) -> List[float]:
-        """Reliability of many s-t pairs, aligned with ``pairs`` order.
-
-        The batched entry point selection and multi-source loops should
-        prefer: shared-world estimators answer every pair against one
-        compiled plan and one shared world batch, amortizing the setup
-        cost over thousands of queries.  The default implementation
-        delegates to :meth:`pair_reliabilities`.
-        """
-        pairs = list(pairs)
-        values = self.pair_reliabilities(graph, pairs, extra_edges)
-        return [values[(s, t)] for s, t in pairs]
-
-    def selection_backend(self) -> Optional[Tuple[int, int]]:
-        """``(num_samples, seed)`` when selection loops may batch this
-        estimator's per-candidate estimates through the shared-world
-        gain kernel (:class:`repro.engine.selection.SelectionGainKernel`).
+    def selection_backend(self) -> Optional[SelectionBackend]:
+        """A :class:`SelectionBackend` when selection loops may batch
+        this estimator's per-candidate estimates through the
+        shared-world gain kernel
+        (:class:`repro.engine.selection.SelectionGainKernel`).
 
         Estimators whose estimate is a plain hit-rate over ``Z`` i.i.d.
         engine-sampled worlds (plain Monte Carlo, lazy propagation)
-        return the bare tuple; estimators whose sampling is conditioned
-        per query return a :class:`SelectionBackend` whose
-        ``make_batch`` factory builds the query-specific base batch the
-        kernel scores candidates against — per-stratum for recursive
-        stratified sampling, per-block for adaptive MC.  The gain
-        identity is exact per world regardless of how the worlds were
-        sampled, so every backend gets the same ``O(Z/64)``-words-per-
-        candidate rounds.  ``None`` (the default, e.g. exact
-        estimation) sends selection loops to per-candidate estimation.
+        return a backend without ``make_batch``; estimators whose
+        sampling is conditioned per query set ``make_batch`` to build
+        the query-specific base batch the kernel scores candidates
+        against — per-stratum for recursive stratified sampling,
+        per-block for adaptive MC.  The gain identity is exact per
+        world regardless of how the worlds were sampled, so every
+        backend gets the same ``O(Z/64)``-words-per-candidate rounds.
+        ``None`` (the default, e.g. exact estimation) sends selection
+        loops to per-candidate estimation.
         """
         return None
 

@@ -234,8 +234,11 @@ class ExactEstimator(ReliabilityEstimator):
         extra_edges: Overlay = None,
     ) -> Dict[int, float]:
         extra = list(extra_edges) if extra_edges else None
+        # Overlay-only endpoints are nodes too (appended after the
+        # graph's own nodes).
+        nodes = graph.with_edges(extra).nodes() if extra else graph.nodes()
         result = {}
-        for node in graph.nodes():
+        for node in nodes:
             value = self.reliability(graph, source, node, extra)
             if value > 0.0:
                 result[node] = value

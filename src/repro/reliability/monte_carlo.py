@@ -15,7 +15,12 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence, Tuple
 
-from ..engine import VectorizedSamplingEngine
+import numpy as np
+
+from ..engine import QueryPlan, WorldBatch, build_query_plan
+# Calls go through the module so wrappers installed on its globals
+# (perfbench/spans.py) see every estimator's sampling and sweeps.
+from ..engine import batch as engine_batch
 from ..graph import UncertainGraph
 from .estimator import Overlay, ReliabilityEstimator, SelectionBackend
 
@@ -28,8 +33,12 @@ class MonteCarloEstimator(ReliabilityEstimator):
     num_samples:
         Number of sampled possible worlds ``Z``.
     seed:
-        Seed for the engine's generator.  Two estimators with the same
-        seed produce identical estimates for identical query sequences.
+        Seed of the estimator's generator.  The generator is stateful:
+        every sampled query advances it, so two estimators with the
+        same seed produce identical estimates for identical query
+        sequences.  Degenerate queries (``source == target``, an
+        endpoint neither the graph nor the overlay names, no pairs)
+        draw nothing.
 
     Notes
     -----
@@ -43,12 +52,16 @@ class MonteCarloEstimator(ReliabilityEstimator):
         if num_samples < 1:
             raise ValueError("num_samples must be positive")
         self.num_samples = num_samples
-        self._engine = VectorizedSamplingEngine(seed)
+        self.seed = seed
+        self._rng = np.random.default_rng(seed)
 
-    def selection_backend(self) -> Optional[Tuple[int, int]]:
-        """Plain fixed-Z hit rates on the engine batch into the
+    def selection_backend(self) -> Optional[SelectionBackend]:
+        """Plain fixed-Z hit rates on an i.i.d. batch into the
         selection-gain kernel."""
-        return SelectionBackend(self.num_samples, self._engine.seed)
+        return SelectionBackend(self.num_samples, self.seed)
+
+    def _sample(self, plan: QueryPlan) -> WorldBatch:
+        return engine_batch.sample(plan, self.num_samples, self._rng)
 
     # ------------------------------------------------------------------
     def reliability(
@@ -58,9 +71,15 @@ class MonteCarloEstimator(ReliabilityEstimator):
         target: int,
         extra_edges: Overlay = None,
     ) -> float:
-        return self._engine.reliability(
-            graph, source, target, self.num_samples,
-            list(extra_edges) if extra_edges else None,
+        """Fraction of sampled worlds in which ``target`` is reachable."""
+        if source == target:
+            return 1.0
+        extra = list(extra_edges) if extra_edges else None
+        plan = build_query_plan(graph, extra)
+        if plan.node_index(source) is None or plan.node_index(target) is None:
+            return 0.0
+        return engine_batch.pair_fraction(
+            plan, self._sample(plan), source, target
         )
 
     def reachability_from(
@@ -69,10 +88,7 @@ class MonteCarloEstimator(ReliabilityEstimator):
         source: int,
         extra_edges: Overlay = None,
     ) -> Dict[int, float]:
-        return self._engine.reachability_from(
-            graph, source, self.num_samples,
-            list(extra_edges) if extra_edges else None,
-        )
+        return self.multi_source_reachability(graph, [source], extra_edges)
 
     def pair_reliabilities(
         self,
@@ -84,11 +100,15 @@ class MonteCarloEstimator(ReliabilityEstimator):
 
         One world batch answers every pair, so pair estimates are
         consistent — exactly how the paper evaluates
-        multi-source-target objectives.
+        multi-source-target objectives — and the plan compilation plus
+        coin flips are amortized over all pairs.
         """
-        return self._engine.pair_reliabilities(
-            graph, list(pairs), self.num_samples,
-            list(extra_edges) if extra_edges else None,
+        if not pairs:
+            return {}
+        extra = list(extra_edges) if extra_edges else None
+        plan = build_query_plan(graph, extra)
+        return engine_batch.pair_hit_fractions(
+            plan, self._sample(plan), list(pairs), self.num_samples
         )
 
     def multi_source_reachability(
@@ -97,7 +117,15 @@ class MonteCarloEstimator(ReliabilityEstimator):
         sources: Sequence[int],
         extra_edges: Overlay = None,
     ) -> Dict[int, float]:
-        return self._engine.multi_source_reachability(
-            graph, list(sources), self.num_samples,
-            list(extra_edges) if extra_edges else None,
+        """Per-node frequency of being reached from *any* source.
+
+        All sources seed one reached-bitmask, so each world is shared
+        across sources by construction.
+        """
+        extra = list(extra_edges) if extra_edges else None
+        plan = build_query_plan(graph, extra)
+        if all(plan.node_index(s) is None for s in sources):
+            return {}
+        return engine_batch.reach_frequencies(
+            plan, self._sample(plan), sources
         )

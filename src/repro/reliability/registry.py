@@ -21,15 +21,19 @@ the capabilities the session layer needs to plan execution:
 
 Selection-backend support matrix
 --------------------------------
-Every registered estimator samples on the batch engine
-(:mod:`repro.engine`) and reports a
+Every registered estimator holds its own seeded
+:class:`numpy.random.Generator`, samples through the module functions
+of :mod:`repro.engine.batch`, and reports a
+:class:`~repro.reliability.estimator.SelectionBackend` record
+``(num_samples, seed, make_batch)`` from
 :meth:`~repro.reliability.estimator.ReliabilityEstimator.selection_backend`,
 so ``hill_climbing`` / ``individual_top_k`` (and session maximize
 queries) auto-route all of them through the batched selection-gain
-kernel (:mod:`repro.engine.selection`); estimators without a backend
-(:class:`~repro.reliability.exact.ExactEstimator`, third-party
-samplers) keep the per-candidate loop.  What differs is the *base
-batch* candidates are scored against:
+kernel (:mod:`repro.engine.selection`); estimators whose
+``selection_backend()`` is ``None`` (the base-class default, e.g.
+:class:`~repro.reliability.exact.ExactEstimator`) keep the
+per-candidate loop.  What differs is the *base batch* candidates are
+scored against:
 
 ========== =============== ============================================
 name       shares_worlds   selection_backend base batch
@@ -50,7 +54,9 @@ still run reliability queries individually.
 Third-party estimators can join via :func:`register_estimator`; every
 registered name immediately works in the CLI (``--estimator``),
 ``Session`` workloads, and the HTTP serving layer
-(:mod:`repro.serve`).  See ``docs/architecture.md`` ("Estimator
+(:mod:`repro.serve`).  Selection loops call ``selection_backend()``
+directly, so an estimator used for selection subclasses
+:class:`~repro.reliability.estimator.ReliabilityEstimator`.  See ``docs/architecture.md`` ("Estimator
 registry") for how these capabilities drive execution planning end to
 end.
 """

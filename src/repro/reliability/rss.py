@@ -20,12 +20,10 @@ from typing import Dict, Iterable, List, Set, Tuple
 
 import numpy as np
 
-from ..engine import (
-    VectorizedSamplingEngine,
-    build_query_plan,
-    sample_worlds,
-    sample_worlds_stratified,
-)
+from ..engine import build_query_plan, sample_worlds, sample_worlds_stratified
+# Leaf calls go through the module so wrappers installed on its globals
+# (perfbench/spans.py) see the leaves' sampling.
+from ..engine import batch as engine_batch
 from ..graph import UncertainGraph
 from .estimator import (
     Overlay,
@@ -71,9 +69,9 @@ class RecursiveStratifiedSampler(ReliabilityEstimator):
     max_depth:
         Recursion guard; deeper strata fall back to MC.
     seed:
-        Seed of the engine generator that samples the Monte Carlo
-        leaves of the stratification tree (the stratum recursion itself
-        is structure discovery, not sampling).
+        Seed of the estimator's generator, which samples the Monte
+        Carlo leaves of the stratification tree (the stratum recursion
+        itself is structure discovery, not sampling).
 
     Notes
     -----
@@ -99,7 +97,8 @@ class RecursiveStratifiedSampler(ReliabilityEstimator):
         self.num_stratify_edges = num_stratify_edges
         self.mc_threshold = mc_threshold
         self.max_depth = max_depth
-        self._engine = VectorizedSamplingEngine(seed)
+        self.seed = seed
+        self._rng = np.random.default_rng(seed)
         self._active_plan = None
 
     # ------------------------------------------------------------------
@@ -116,8 +115,7 @@ class RecursiveStratifiedSampler(ReliabilityEstimator):
         enough to serve as a single shared world batch.
         """
         return SelectionBackend(
-            self.num_samples, self._engine.seed,
-            make_batch=self.selection_batch,
+            self.num_samples, self.seed, make_batch=self.selection_batch
         )
 
     def selection_batch(self, graph, plan, source, target):
@@ -133,7 +131,7 @@ class RecursiveStratifiedSampler(ReliabilityEstimator):
         exactly like a plain one.  Deterministic for a fixed seed; no
         strata (no undetermined frontier) degrades to plain sampling.
         """
-        rng = np.random.default_rng(self._engine.seed)
+        rng = np.random.default_rng(self.seed)
         if source not in graph:
             return sample_worlds(plan, self.num_samples, rng)
         adj = _Adjacency(graph, {})
@@ -183,11 +181,12 @@ class RecursiveStratifiedSampler(ReliabilityEstimator):
         source: int,
         extra_edges: Overlay = None,
     ) -> Dict[int, float]:
-        if source not in graph:
-            return {}
         extra = list(extra_edges) if extra_edges else None
+        plan = build_query_plan(graph, extra)
+        if plan.node_index(source) is None:
+            return {}  # named by neither the graph nor the overlay
         adj = _Adjacency(graph, build_overlay(graph, extra))
-        self._active_plan = build_query_plan(graph, extra)
+        self._active_plan = plan
         counts: Dict[int, float] = {}
         try:
             self._estimate_vector(
@@ -380,10 +379,10 @@ class RecursiveStratifiedSampler(ReliabilityEstimator):
         forced: Dict[EdgeKey, bool],
         num_samples: int,
     ) -> float:
-        """MC leaf: engine hit rate conditioned on the stratum's pins."""
-        return self._engine.stratified_reliability(
-            self._active_plan, source, target, forced, num_samples
-        )
+        """MC leaf: hit rate conditioned on the stratum's pins."""
+        plan = self._active_plan
+        batch = engine_batch.sample(plan, num_samples, self._rng, forced)
+        return engine_batch.pair_fraction(plan, batch, source, target)
 
     def _monte_carlo_vector(
         self,
@@ -394,8 +393,8 @@ class RecursiveStratifiedSampler(ReliabilityEstimator):
         out: Dict[int, float],
     ) -> None:
         """MC leaf: accumulate ``weight`` times conditioned reach rates."""
-        counts = self._engine.stratified_reach_counts(
-            self._active_plan, source, forced, num_samples
-        )
+        plan = self._active_plan
+        batch = engine_batch.sample(plan, num_samples, self._rng, forced)
+        counts = engine_batch.reach_frequencies(plan, batch, [source])
         for node, fraction in counts.items():
             out[node] = out.get(node, 0.0) + weight * fraction

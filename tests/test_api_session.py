@@ -4,13 +4,16 @@ import pytest
 
 import repro.api.session as session_module
 from repro.api import (
+    GraphDelta,
     MaximizeQuery,
     ReliabilityQuery,
     Session,
     Workload,
     results_table,
 )
+from repro.engine import compile_plan, extend_with_overlay
 from repro.graph import UncertainGraph, assign_uniform, erdos_renyi
+from repro.index import IndexStore
 from repro.reliability import (
     MonteCarloEstimator,
     estimator_names,
@@ -109,19 +112,65 @@ class TestSessionParity:
         session = Session(graph, evaluation_samples=300, evaluation_seed=42)
         pairs = [(0, 10), (5, 20), (7, 7)]
         batched = session.evaluate_pairs(pairs)
-        legacy = MonteCarloEstimator(300, seed=42).reliability_many(
+        legacy = MonteCarloEstimator(300, seed=42).pair_reliabilities(
             graph, pairs
         )
-        assert batched == legacy
+        assert batched == [legacy[pair] for pair in pairs]
 
-    def test_evaluate_pairs_with_overlay(self, graph):
-        session = Session(graph, evaluation_samples=300, evaluation_seed=42)
-        extra = [(0, 30, 0.9)]
-        batched = session.evaluate_pairs([(0, 30)], extra)
-        legacy = MonteCarloEstimator(300, seed=42).reliability_many(
-            graph, [(0, 30)], extra
+    @pytest.mark.parametrize("case", [
+        "plain", "stacked-key", "overlay-only-endpoint", "same-endpoints",
+        "monotone-delta", "non-monotone-delta", "store",
+    ])
+    def test_evaluate_pairs_with_overlay(self, graph, tmp_path, case):
+        """An overlay evaluation extends the session's cached (Z, seed)
+        batch with the overlay's keyed coin rows, so it equals a
+        same-seed estimator that resamples the merged plan, and it
+        leaves the result and reach-fixpoint caches alone."""
+        (u, v, p), (x, y, _) = sorted(graph.edges())[:2]
+        missing = next(
+            (a, b) for a in range(50) for b in range(a + 1, 50)
+            if not graph.has_edge(a, b)
         )
-        assert batched == legacy
+        pairs, extra = [(0, 30), (5, 20)], [(0, 30, 0.9)]
+        store = IndexStore(tmp_path / "store") if case == "store" else None
+        session = Session(
+            graph, evaluation_samples=300, evaluation_seed=42, store=store
+        )
+        session.evaluate_pairs(pairs)  # caches the batch and fixpoints
+        if case == "stacked-key":
+            # (v, u) folds onto the existing key (u, v) as its ordinal 1.
+            extra = [(v, u, 0.7)]
+            merged = extend_with_overlay(compile_plan(graph), extra)
+            assert merged.edge_ordinal[-1] == 1
+            pairs = [(u, v), (0, 30)]
+        elif case == "overlay-only-endpoint":
+            extra = [(0, 999, 0.8), (999, 30, 0.6)]
+            pairs = [(0, 999), (999, 30), (0, 30)]
+        elif case == "same-endpoints":
+            pairs = [(7, 7), (0, 30)]
+        elif case == "monotone-delta":
+            delta = GraphDelta(upserts=((u, v, 1.0), (*missing, 0.5)))
+            assert session.apply_delta(delta).strategy == "repair"
+        elif case == "non-monotone-delta":
+            delta = GraphDelta(upserts=((u, v, p / 2),), deletes=((x, y),))
+            assert session.apply_delta(delta).strategy == "repair"
+        reach = {key: set(states) for key, states in session._reach.items()}
+        if store is not None:
+            results = store.stats().num_results
+            counters = store.counters.as_dict()
+            assert results > 0
+        values = session.evaluate_pairs(pairs, extra)
+        fresh = MonteCarloEstimator(300, seed=42).pair_reliabilities(
+            graph, pairs, extra
+        )
+        assert values == [fresh[pair] for pair in pairs]
+        assert {
+            key: set(states) for key, states in session._reach.items()
+        } == reach
+        if store is not None:
+            assert store.stats().num_results == results
+            assert store.counters.as_dict() == counters
+            store.close()
 
 
 class TestSessionBatching:
@@ -319,6 +368,56 @@ class TestMaximizeThroughSession:
         assert results[0].query is queries[0]
         assert results[1].query is queries[1]
         assert results[2].query is queries[2]
+
+    def test_hc_query_coin_word_budget(self, monkeypatch):
+        """Work counter for every keyed coin word one hill-climbing
+        ``mc`` query draws, so a return of a full resample (say, of
+        the final evaluation) fails here on any machine."""
+        import repro.engine.batch as batch_module
+        import repro.engine.kernel as kernel_module
+        import repro.engine.selection as selection_module
+
+        draws = []  # (call site, uint64 coin words drawn)
+
+        def spy(module, name, site):
+            real = getattr(module, name)
+
+            def counted(*args):
+                words = real(*args)
+                draws.append((site, words.size))
+                return words
+
+            monkeypatch.setattr(module, name, counted)
+
+        spy(kernel_module, "keyed_coin_rows", "sample")
+        spy(selection_module, "keyed_coin_rows", "winner")
+        spy(selection_module, "keyed_coin_words", "sparse")
+        spy(batch_module, "keyed_coin_rows", "overlay")
+        graph = assign_uniform(
+            erdos_renyi(30, num_edges=70, seed=9, directed=True),
+            0.2, 0.8, seed=10,
+        )
+        session = Session(
+            graph, seed=4, estimator="mc", selection_samples=640,
+            evaluation_samples=960, r=10, l=8,
+        )
+        result = session.maximize(MaximizeQuery(0, 29, k=3, method="hc"))
+        assert len(result.edges) == 3
+        select_w, evaluate_w = 10, 15  # words per row at Z = 640 / 960
+        full_select = graph.num_edges * select_w
+        assert draws == [
+            ("sample", full_select),  # elimination: reach from s
+            ("sample", full_select),  # elimination: reach into t
+            ("sample", full_select),  # the selection batch
+            # Greedy rounds: coin words only where a gain mask is
+            # nonzero, and each committed winner's full row.
+            ("sparse", 542), ("winner", select_w),
+            ("sparse", 426), ("winner", select_w),
+            ("sparse", 333),
+            ("sample", graph.num_edges * evaluate_w),  # evaluation batch
+            # The final evaluation adds only the chosen edges' rows.
+            ("overlay", len(result.edges) * evaluate_w),
+        ]
 
 
 class TestResults:

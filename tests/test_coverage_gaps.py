@@ -149,13 +149,13 @@ class TestSessionDeterminism:
         ]
 
 
-class TestReliabilityManyEmptyWorkload:
+class TestEmptyPairWorkload:
     """An empty pair workload is a no-op on every batched entry point.
 
     The empty workload must neither compile a plan nor flip a single
     coin — and certainly not raise — at any of the three entry points
-    (the engine behind ``MonteCarloEstimator``, the estimator base
-    class, ``Session.evaluate_pairs``).
+    (``MonteCarloEstimator``, the estimator base class,
+    ``Session.evaluate_pairs``).
     """
 
     def _graph(self):
@@ -165,11 +165,15 @@ class TestReliabilityManyEmptyWorkload:
 
     def test_engine_empty_pairs(self):
         est = MonteCarloEstimator(128, seed=1)
-        assert est.reliability_many(self._graph(), []) == []
+        assert est.pair_reliabilities(self._graph(), []) == {}
+        # Nothing was drawn: the next estimate is a fresh estimator's.
+        assert est.reliability(self._graph(), 0, 3) == (
+            MonteCarloEstimator(128, seed=1).reliability(self._graph(), 0, 3)
+        )
 
     def test_estimator_empty_pairs(self):
         est = RecursiveStratifiedSampler(100, seed=1)
-        assert est.reliability_many(self._graph(), []) == []
+        assert est.pair_reliabilities(self._graph(), []) == {}
 
     def test_session_empty_pairs(self):
         session = Session(

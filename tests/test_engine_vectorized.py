@@ -12,7 +12,6 @@ import pytest
 
 from repro.api import Session
 from repro.engine import (
-    VectorizedSamplingEngine,
     build_query_plan,
     compile_plan,
     extend_with_overlay,
@@ -24,11 +23,13 @@ from repro.engine import (
 from repro.graph import UncertainGraph, assign_uniform, erdos_renyi
 from repro.reliability import (
     BFSSharingIndex,
+    ExactEstimator,
     LazyPropagationEstimator,
     MonteCarloEstimator,
     RecursiveStratifiedSampler,
     estimator_names,
     exact_reliability,
+    exact_reliability_by_enumeration,
     make_estimator,
 )
 
@@ -156,25 +157,25 @@ class TestCSRCompilation:
 class TestEngineAgainstExact:
     def test_diamond(self, diamond):
         truth = exact_reliability(diamond, 0, 3)
-        est = VectorizedSamplingEngine(seed=1).reliability(diamond, 0, 3, 8000)
+        est = MonteCarloEstimator(8000, seed=1).reliability(diamond, 0, 3)
         assert_close_to_exact(est, truth, 8000)
 
     def test_directed(self, directed_diamond):
         truth = exact_reliability(directed_diamond, 0, 3)
-        eng = VectorizedSamplingEngine(seed=2)
+        mc = MonteCarloEstimator(8000, seed=2)
         assert_close_to_exact(
-            eng.reliability(directed_diamond, 0, 3, 8000), truth, 8000
+            mc.reliability(directed_diamond, 0, 3), truth, 8000
         )
-        assert eng.reliability(directed_diamond, 3, 0, 2000) == 0.0
+        assert mc.reliability(directed_diamond, 3, 0) == 0.0
 
     def test_deterministic_given_seed(self, medium_graph):
-        a = VectorizedSamplingEngine(seed=7).reliability(medium_graph, 0, 29, 300)
-        b = VectorizedSamplingEngine(seed=7).reliability(medium_graph, 0, 29, 300)
+        a = MonteCarloEstimator(300, seed=7).reliability(medium_graph, 0, 29)
+        b = MonteCarloEstimator(300, seed=7).reliability(medium_graph, 0, 29)
         assert a == b
 
     def test_z_not_word_aligned(self, diamond):
         truth = exact_reliability(diamond, 0, 3)
-        est = VectorizedSamplingEngine(seed=3).reliability(diamond, 0, 3, 7001)
+        est = MonteCarloEstimator(7001, seed=3).reliability(diamond, 0, 3)
         assert_close_to_exact(est, truth, 7001)
 
 
@@ -193,14 +194,14 @@ class TestEstimatorsAgainstExact:
                 value, exact_reliability(diamond, 0, node), 8000
             )
 
-    def test_mc_reliability_many(self, small_graph):
+    def test_mc_pair_reliabilities(self, small_graph):
         pairs = [(0, 9), (0, 5), (3, 8), (7, 7)]
-        values = MonteCarloEstimator(6000, seed=3).reliability_many(
+        values = MonteCarloEstimator(6000, seed=3).pair_reliabilities(
             small_graph, pairs
         )
-        assert len(values) == len(pairs)
-        assert values[3] == 1.0  # s == t
-        for (s, t), value in zip(pairs, values, strict=True):
+        assert list(values) == pairs
+        assert values[(7, 7)] == 1.0  # s == t
+        for (s, t), value in values.items():
             assert_close_to_exact(
                 value, exact_reliability(small_graph, s, t), 6000
             )
@@ -256,7 +257,7 @@ class TestEstimatorsAgainstExact:
 
     @pytest.mark.parametrize("method, args", [
         ("reliability", (0, 9)),
-        ("reliability_many", ([(0, 9), (3, 8), (3, 3)],)),
+        ("pair_reliabilities", ([(3, 3), (0, 42)],)),
         ("pair_reliabilities", ([(0, 9), (3, 8)],)),
         ("reachability_from", (0,)),
         ("reachability_to", (9,)),
@@ -293,9 +294,9 @@ class TestOverlayOnlyEndpoints:
         single = make_estimator(name, self.SAMPLES, seed=1).reliability(
             g, 0, 99, self.OVERLAY
         )
-        [many] = make_estimator(name, self.SAMPLES, seed=1).reliability_many(
+        many = make_estimator(name, self.SAMPLES, seed=1).pair_reliabilities(
             g, [(0, 99)], self.OVERLAY
-        )
+        )[(0, 99)]
         assert_close_to_exact(single, truth, self.SAMPLES)
         assert_close_to_exact(many, truth, self.SAMPLES)
 
@@ -336,75 +337,131 @@ class TestOverlayOnlyEndpoints:
                 fresh.reliability(diamond, s, t, overlay)
             )
 
+    # Reachability vectors: the overlay-only node is the query's own
+    # source (or target), so it and everything it reaches must appear.
+    VECTOR_NAMES: ClassVar = [*sorted(estimator_names()), "exact", "bfs-sharing"]
+
+    def vector_estimator(self, name, graph):
+        """``(estimator, Z of its vector answers)``; ``Z`` is ``None``
+        for the exact estimator."""
+        if name == "exact":
+            return ExactEstimator(), None
+        if name == "bfs-sharing":
+            return BFSSharingIndex(graph, self.SAMPLES, seed=1), self.SAMPLES
+        # adaptive answers vector queries with fixed-budget MC at a
+        # tenth of its sample cap.
+        samples = self.SAMPLES // 10 if name == "adaptive" else self.SAMPLES
+        return make_estimator(name, self.SAMPLES, seed=1), samples
+
+    @staticmethod
+    def check_vector(vector, truth, samples):
+        assert set(vector) == set(truth)
+        for node, value in truth.items():
+            if samples is None:
+                assert vector[node] == pytest.approx(value)
+            else:
+                assert_close_to_exact(vector[node], value, samples)
+
+    @pytest.mark.parametrize("name", VECTOR_NAMES)
+    @pytest.mark.parametrize(
+        "entry", ["reachability_from", "multi_source_reachability"]
+    )
+    def test_overlay_only_source(self, name, entry):
+        g = self.graph()
+        overlay = [(99, 0, 1.0)]
+        est, samples = self.vector_estimator(name, g)
+        if entry == "reachability_from":
+            vector = est.reachability_from(g, 99, overlay)
+        else:
+            vector = est.multi_source_reachability(g, [99], overlay)
+        truth = {
+            node: exact_reliability_by_enumeration(g, 99, node, overlay)
+            for node in (99, 0, 1)
+        }
+        self.check_vector(vector, truth, samples)
+
+    # BFS-sharing indexes one graph, and the default reachability_to
+    # runs on its reverse, so it answers only undirected queries.
+    @pytest.mark.parametrize("name", VECTOR_NAMES[:-1])
+    def test_overlay_only_target_of_reachability_to(self, name):
+        g = UncertainGraph.from_edges(self.GRAPH_EDGES, directed=True)
+        overlay = [(1, 99, 1.0)]
+        est, samples = self.vector_estimator(name, g)
+        truth = {
+            node: exact_reliability_by_enumeration(g, node, 99, overlay)
+            for node in (0, 1, 99)
+        }
+        self.check_vector(est.reachability_to(g, 99, overlay), truth, samples)
+
 
 class TestOverlayAndEdgeCases:
     @pytest.fixture
-    def engine(self):
-        return VectorizedSamplingEngine(seed=11)
+    def mc(self):
+        """``mc(Z)``: a Monte Carlo estimator at ``Z`` with the seed
+        every check here uses."""
+        return lambda samples: MonteCarloEstimator(samples, seed=11)
 
-    def test_overlay_edge_counted(self, engine):
+    def test_overlay_edge_counted(self, mc):
         g = UncertainGraph()
         g.add_node(0)
         g.add_node(1)
-        est = engine.reliability(g, 0, 1, 8000, [(0, 1, 0.4)])
+        est = mc(8000).reliability(g, 0, 1, [(0, 1, 0.4)])
         assert_close_to_exact(est, 0.4, 8000)
 
-    def test_overlay_undirected_semantics(self, engine):
+    def test_overlay_undirected_semantics(self, mc):
         g = UncertainGraph()
         g.add_node(0)
         g.add_node(1)
         g.add_node(2)
         # Overlay edge (1, 0) must also carry 0 -> 1 traffic.
-        est = engine.reliability(g, 0, 2, 8000, [(1, 0, 0.8), (1, 2, 0.8)])
+        est = mc(8000).reliability(g, 0, 2, [(1, 0, 0.8), (1, 2, 0.8)])
         assert_close_to_exact(est, 0.64, 8000)
 
-    def test_overlay_through_unknown_node(self, engine):
+    def test_overlay_through_unknown_node(self, mc):
         g = UncertainGraph()
         g.add_node(0)
         g.add_node(1)
         # Node 99 exists only in the overlay but may relay traffic.
-        est = engine.reliability(g, 0, 1, 8000, [(0, 99, 0.8), (99, 1, 0.8)])
+        est = mc(8000).reliability(g, 0, 1, [(0, 99, 0.8), (99, 1, 0.8)])
         assert_close_to_exact(est, 0.64, 8000)
 
-    def test_source_equals_target(self, engine, diamond):
-        assert engine.reliability(diamond, 1, 1, 10) == 1.0
+    def test_source_equals_target(self, mc, diamond):
+        assert mc(10).reliability(diamond, 1, 1) == 1.0
 
-    def test_missing_nodes(self, engine, diamond):
-        assert engine.reliability(diamond, 0, 42, 10) == 0.0
-        assert engine.reliability(diamond, 42, 0, 10) == 0.0
+    def test_missing_nodes(self, mc, diamond):
+        assert mc(10).reliability(diamond, 0, 42) == 0.0
+        assert mc(10).reliability(diamond, 42, 0) == 0.0
 
-    def test_disconnected(self, engine):
+    def test_disconnected(self, mc):
         g = UncertainGraph()
         g.add_edge(0, 1, 0.9)
         g.add_edge(2, 3, 0.9)
-        assert engine.reliability(g, 0, 3, 500) == 0.0
+        assert mc(500).reliability(g, 0, 3) == 0.0
 
-    def test_certain_and_impossible_edges(self, engine):
+    def test_certain_and_impossible_edges(self, mc):
         certain = UncertainGraph.from_edges([(0, 1, 1.0), (1, 2, 1.0)])
-        assert engine.reliability(certain, 0, 2, 50) == 1.0
+        assert mc(50).reliability(certain, 0, 2) == 1.0
         impossible = UncertainGraph.from_edges([(0, 1, 0.0)])
-        assert engine.reliability(impossible, 0, 1, 200) == 0.0
+        assert mc(200).reliability(impossible, 0, 1) == 0.0
 
-    def test_edgeless_graph(self, engine):
+    def test_edgeless_graph(self, mc):
         g = UncertainGraph()
         g.add_node(0)
         g.add_node(1)
-        assert engine.reliability(g, 0, 1, 100) == 0.0
-        assert engine.reachability_from(g, 0, 100) == {0: 1.0}
+        assert mc(100).reliability(g, 0, 1) == 0.0
+        assert mc(100).reachability_from(g, 0) == {0: 1.0}
 
-    def test_reachability_missing_source(self, engine, diamond):
-        assert engine.reachability_from(diamond, 42, 10) == {}
+    def test_reachability_missing_source(self, mc, diamond):
+        assert mc(10).reachability_from(diamond, 42) == {}
 
-    def test_pair_reliabilities_empty(self, engine, diamond):
-        assert engine.pair_reliabilities(diamond, [], 10) == {}
+    def test_pair_reliabilities_empty(self, mc, diamond):
+        assert mc(10).pair_reliabilities(diamond, []) == {}
 
-    def test_pair_reliabilities_with_overlay(self, engine, diamond):
+    def test_pair_reliabilities_with_overlay(self, mc, diamond):
         pairs = [(0, 3), (1, 2)]
-        with_edge = engine.pair_reliabilities(
-            diamond, pairs, 8000, [(0, 3, 1.0)]
-        )
+        with_edge = mc(8000).pair_reliabilities(diamond, pairs, [(0, 3, 1.0)])
         assert with_edge[(0, 3)] == 1.0  # certain overlay edge closes the pair
-        without = engine.pair_reliabilities(diamond, pairs, 8000)
+        without = mc(8000).pair_reliabilities(diamond, pairs)
         assert_close_to_exact(
             without[(0, 3)], exact_reliability(diamond, 0, 3), 8000
         )

@@ -18,6 +18,7 @@ from repro.api import ReliabilityQuery, Session, Workload
 from repro.engine import batch_from_words, compile_plan, sample_worlds
 from repro.graph import UncertainGraph
 from repro.index import IndexStore
+from repro.reliability import BFSSharingIndex
 
 
 @pytest.fixture
@@ -249,6 +250,24 @@ def test_candidate_rows_asserts_p_when_enabled(sanitizer_on, call, match):
     kernel = SelectionGainKernel(graph, 64, seed=0)
     with pytest.raises(SanitizerError, match=match):
         call(kernel, [(0, 2, 0.5), (1, 3, 1.5)])
+
+
+@pytest.mark.parametrize("p", [1.5, float("nan")], ids=["above-one", "nan"])
+def test_session_overlay_asserts_p_when_enabled(sanitizer_on, p):
+    # Overlay rows extend the session's cached batch; only they are
+    # new coins, so they must be checked where they are drawn.
+    session = Session(build_graph(), seed=3)
+    session.evaluate_pairs([(0, 2)])
+    with pytest.raises(SanitizerError, match="overlay"):
+        session.evaluate_pairs([(0, 2)], [(0, 2, p)])
+
+
+@pytest.mark.parametrize("p", [1.5, float("nan")], ids=["above-one", "nan"])
+def test_bfs_sharing_overlay_asserts_p_when_enabled(sanitizer_on, p):
+    graph = build_graph()
+    index = BFSSharingIndex(graph, 64, seed=0)
+    with pytest.raises(SanitizerError, match="overlay"):
+        index.reliability(graph, 0, 2, [(0, 2, p)])
 
 
 def test_kernel_accepts_clean_probs_when_enabled(sanitizer_on):

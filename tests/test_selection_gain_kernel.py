@@ -27,7 +27,7 @@ from repro.engine import (
     popcount,
     sample_worlds,
 )
-from repro.reliability import ExactEstimator, make_estimator
+from repro.reliability import ExactEstimator, SelectionBackend, make_estimator
 from repro.baselines import hill_climbing, individual_top_k, selection_kernel_for
 
 Z = 192  # deliberately not a multiple of 64: pad bits must stay clean
@@ -283,7 +283,7 @@ class TestSelectionBackend:
     def test_mc_and_lazy_expose_backend(self):
         for name in ("mc", "lazy"):
             est = make_estimator(name, 123, seed=5)
-            assert est.selection_backend() == (123, 5)
+            assert est.selection_backend() == SelectionBackend(123, 5)
 
     def test_exact_estimator_does_not(self):
         assert ExactEstimator().selection_backend() is None
@@ -296,8 +296,7 @@ class TestSelectionBackend:
             est = make_estimator(name, 120, seed=7)
             backend = est.selection_backend()
             assert backend is not None, name
-            num_samples, seed = backend  # legacy tuple contract
-            assert num_samples == 120 and seed == 7
+            assert (backend.num_samples, backend.seed) == (120, 7)
             assert callable(backend.make_batch), name
         # plain-batch backends carry no factory
         assert make_estimator("mc", 10).selection_backend().make_batch is None
