@@ -37,24 +37,12 @@ def _expected_length_dijkstra(
             return
         adjacency.setdefault(u, []).append((v, 1.0 / p))
 
-    for u, v, p in graph.edges():
+    for u, v, p in [*graph.edges(), *extra]:
         if reverse:
+            u, v = v, u
+        add(u, v, p)
+        if not graph.directed:
             add(v, u, p)
-            if not graph.directed:
-                add(u, v, p)
-        else:
-            add(u, v, p)
-            if not graph.directed:
-                add(v, u, p)
-    for u, v, p in extra:
-        if reverse:
-            add(v, u, p)
-            if not graph.directed:
-                add(u, v, p)
-        else:
-            add(u, v, p)
-            if not graph.directed:
-                add(v, u, p)
 
     dist = {source: 0.0}
     heap = [(0.0, source)]

@@ -16,7 +16,6 @@ from .csr import (
     build_query_plan,
     canonical_key,
     compile_plan,
-    compile_reverse_plan,
     extend_with_overlay,
 )
 from .kernel import (
@@ -64,7 +63,6 @@ __all__ = [
     "build_query_plan",
     "canonical_key",
     "compile_plan",
-    "compile_reverse_plan",
     "extend_with_overlay",
     "EdgeChange",
     "WorldBatch",

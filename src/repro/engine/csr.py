@@ -18,6 +18,7 @@ base arrays.
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -83,6 +84,8 @@ class QueryPlan:
         "edge_v",
         "edge_ordinal",
         "_reverse",
+        "_forward",
+        "__weakref__",
     )
 
     def __init__(
@@ -132,6 +135,20 @@ class QueryPlan:
         self.edge_v = edge_v
         self.edge_ordinal = edge_ordinal
         self._reverse: Optional["QueryPlan"] = None
+        self._forward: Optional["weakref.ref[QueryPlan]"] = None
+
+    def __getstate__(self) -> Dict[str, object]:
+        # The reverse-view cache holds a weak reference, which cannot be
+        # pickled; it is rebuilt on demand, so pickles leave it out.
+        return {
+            name: getattr(self, name) for name in self.__slots__
+            if name not in ("_reverse", "_forward", "__weakref__")
+        }
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
+        self._reverse = self._forward = None
 
     def node_index(self, node: int) -> Optional[int]:
         """Dense index of ``node`` or ``None`` when absent."""
@@ -148,10 +165,14 @@ class QueryPlan:
         of worlds in which ``v`` reaches ``t``.  Undirected plans are
         their own reverse (the arc table already holds both
         orientations).  The view is built once per plan and cached;
-        ``rv.reverse_view() is plan`` holds.
+        ``rv.reverse_view() is plan`` holds while ``plan`` lives (the
+        back-reference is weak, so no reference cycle keeps either).
         """
         if not self.directed:
             return self
+        forward = self._forward() if self._forward is not None else None
+        if forward is not None:
+            return forward
         if self._reverse is None:
             reverse = QueryPlan(
                 directed=True,
@@ -167,7 +188,7 @@ class QueryPlan:
                 edge_v=self.edge_v,
                 edge_ordinal=self.edge_ordinal,
             )
-            reverse._reverse = self
+            reverse._forward = weakref.ref(self)
             self._reverse = reverse
         return self._reverse
 
@@ -257,21 +278,6 @@ def compile_plan(graph: UncertainGraph) -> QueryPlan:
     plan = _compile(graph)
     setattr(graph, _CACHE_ATTR, (graph.version, plan))
     return plan
-
-
-def compile_reverse_plan(graph: UncertainGraph) -> QueryPlan:
-    """Compiled reverse-arc plan for ``graph``, cached per graph version.
-
-    The reverse plan drives the *into-t* sweep of the selection-gain
-    kernel: it is :func:`compile_plan`'s result with every arc flipped,
-    sharing edge ids (and therefore world batches) with the forward
-    plan.  Caching composes from the existing layers — the forward
-    plan is cached on the graph keyed on
-    :attr:`UncertainGraph.version`, and the reverse view is cached on
-    the plan instance — so a mutation invalidates both directions at
-    once and no second graph-level cache is needed.
-    """
-    return compile_plan(graph).reverse_view()
 
 
 def extend_with_overlay(

@@ -458,12 +458,15 @@ class SelectionGainKernel:
             pool.resolve(plan)
             batch = extend_batch(batch, row)
             if self.incremental:
+                u, v, _p = edge
                 forward = {
-                    s: self._advance_forward(plan, batch, mask, edge, row[0])
+                    s: self._advance(plan, batch, mask, u, v, row[0])
                     for s, mask in forward.items()
                 }
-                reverse = {
-                    t: self._advance_reverse(plan, batch, mask, edge, row[0])
+                reverse = {  # the reverse view runs u -> v as v -> u
+                    t: self._advance(
+                        plan.reverse_view(), batch, mask, v, u, row[0]
+                    )
                     for t, mask in reverse.items()
                 }
             else:
@@ -473,53 +476,19 @@ class SelectionGainKernel:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _advance_forward(
-        self,
-        plan: QueryPlan,
-        batch: WorldBatch,
-        reached: np.ndarray,
-        edge: ProbEdge,
-        row: np.ndarray,
-    ) -> np.ndarray:
-        """Resume a forward mask after committing ``edge`` with ``row``."""
-        u, v, _p = edge
-        return self._advance(
-            plan, batch, reached, plan.node_index(u), plan.node_index(v),
-            row,
-        )
-
-    def _advance_reverse(
-        self,
-        plan: QueryPlan,
-        batch: WorldBatch,
-        reached: np.ndarray,
-        edge: ProbEdge,
-        row: np.ndarray,
-    ) -> np.ndarray:
-        """Resume a reverse (into-target) mask after committing ``edge``.
-
-        On the reverse plan the committed arc ``u -> v`` is traversed
-        ``v -> u``: ``u`` reaches the target via ``v`` in worlds where
-        the winner's coin landed heads.
-        """
-        u, v, _p = edge
-        return self._advance(
-            plan.reverse_view(), batch, reached,
-            plan.node_index(v), plan.node_index(u), row,
-        )
-
     @staticmethod
     def _advance(
         plan: QueryPlan,
         batch: WorldBatch,
         reached: np.ndarray,
-        from_idx: Optional[int],
-        to_idx: Optional[int],
+        tail: int,
+        head: int,
         row: np.ndarray,
     ) -> np.ndarray:
-        """Seed the winner's newly-reachable worlds and resume the sweep.
+        """Resume a mask swept over ``plan`` (the extended plan, or its
+        reverse view) after committing the arc ``tail -> head``.
 
-        ``reached[to] |= row & reached[from]`` (and the swap for
+        ``reached[head] |= row & reached[tail]`` (and the swap for
         undirected plans) is exactly the set of worlds the new edge
         connects that weren't connected before; restarting the sweep
         from the endpoints whose rows changed converges to the full
@@ -536,6 +505,8 @@ class SelectionGainKernel:
                 dtype=np.uint64,
             )
             reached = np.concatenate([reached, pad])
+        from_idx = plan.node_index(tail)
+        to_idx = plan.node_index(head)
         if from_idx is None or to_idx is None:  # pragma: no cover
             return reached
         frontier: List[int] = []

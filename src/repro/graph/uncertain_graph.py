@@ -260,17 +260,6 @@ class UncertainGraph:
             clone.add_edge(u, v, p)
         return clone
 
-    def reverse(self) -> "UncertainGraph":
-        """Graph with every directed edge flipped (self for undirected)."""
-        if not self.directed:
-            return self
-        flipped = UncertainGraph(directed=True, name=self.name)
-        for u in self._succ:
-            flipped.add_node(u)
-        for u, v, p in self.edges():
-            flipped.add_edge(v, u, p)
-        return flipped
-
     def subgraph(self, keep: Iterable[int]) -> "UncertainGraph":
         """Induced subgraph on ``keep`` (nodes preserved even if isolated)."""
         keep_set = set(keep)

@@ -114,16 +114,11 @@ def reliability_dijkstra_all(
     """
     if source not in graph:
         return {}
-    overlay = build_overlay(graph, extra_edges)
+    neighbor_fn = graph.successors
     if reverse and graph.directed:
         neighbor_fn = graph.predecessors
-        reverse_overlay_map: Dict[int, List[Tuple[int, float]]] = {}
-        for u, pairs in overlay.items():
-            for v, p in pairs:
-                reverse_overlay_map.setdefault(v, []).append((u, p))
-        overlay = reverse_overlay_map
-    else:
-        neighbor_fn = graph.successors
+        extra_edges = [(v, u, p) for u, v, p in extra_edges or ()]
+    overlay = build_overlay(graph, extra_edges)
     dist: Dict[int, float] = {source: 0.0}
     heap: List[Tuple[float, int]] = [(0.0, source)]
     visited: Set[int] = set()

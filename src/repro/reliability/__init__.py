@@ -5,7 +5,6 @@ from .estimator import (
     ReliabilityEstimator,
     SelectionBackend,
     build_overlay,
-    reverse_overlay,
 )
 from .exact import (
     ExactEstimator,
@@ -41,7 +40,6 @@ __all__ = [
     "ReliabilityEstimator",
     "SelectionBackend",
     "build_overlay",
-    "reverse_overlay",
     "ExactEstimator",
     "exact_reliability",
     "exact_reliability_by_enumeration",

@@ -223,8 +223,20 @@ class AdaptiveMonteCarlo(ReliabilityEstimator):
         extra_edges: Overlay = None,
     ) -> Dict[int, float]:
         """Vector queries fall back to fixed-budget MC at the cap/10."""
+        return self._fallback().reachability_from(graph, source, extra_edges)
+
+    def reachability_to(
+        self,
+        graph: UncertainGraph,
+        target: int,
+        extra_edges: Overlay = None,
+    ) -> Dict[int, float]:
+        """The fallback's :meth:`MonteCarloEstimator.reachability_to`."""
+        return self._fallback().reachability_to(graph, target, extra_edges)
+
+    def _fallback(self) -> MonteCarloEstimator:
+        """Fixed-budget MC at the cap/10, on the next fallback seed."""
         budget = max(self.block_size, self.max_samples // 10)
-        fallback = MonteCarloEstimator(
+        return MonteCarloEstimator(
             budget, seed=self._fallback_seeds.randrange(2**31)
         )
-        return fallback.reachability_from(graph, source, extra_edges)

@@ -99,13 +99,16 @@ class BFSSharingIndex(ReliabilityEstimator):
         source: int,
         extra_edges: Overlay = None,
     ) -> Dict[int, float]:
-        self._check(graph)
-        plan, batch = self._query_batch(extra_edges)
-        if plan.node_index(source) is None:
-            # Added to the graph after the snapshot: isolated in every
-            # stored world.
-            return {source: 1.0} if source in graph else {}
-        return reach_frequencies(plan, batch, [source])
+        return self._reach(graph, source, extra_edges)
+
+    def reachability_to(
+        self,
+        graph: UncertainGraph,
+        target: int,
+        extra_edges: Overlay = None,
+    ) -> Dict[int, float]:
+        """The reverse view, swept from ``target`` over the stored worlds."""
+        return self._reach(graph, target, extra_edges, reverse=True)
 
     def pair_reliabilities(
         self,
@@ -133,3 +136,19 @@ class BFSSharingIndex(ReliabilityEstimator):
     def _query_batch(self, extra_edges: Overlay):
         """Stored worlds, extended with the overlay edges' keyed coin rows."""
         return overlay_batch(self._plan, self._batch, self._base, extra_edges)
+
+    def _reach(
+        self,
+        graph: UncertainGraph,
+        node: int,
+        extra_edges: Overlay,
+        reverse: bool = False,
+    ) -> Dict[int, float]:
+        self._check(graph)
+        plan, batch = self._query_batch(extra_edges)
+        if plan.node_index(node) is None:
+            # Added to the graph after the snapshot: isolated in every
+            # stored world.
+            return {node: 1.0} if node in graph else {}
+        sweep = plan.reverse_view() if reverse else plan
+        return reach_frequencies(sweep, batch, [node])

@@ -61,16 +61,6 @@ def build_overlay(
     return overlay
 
 
-def reverse_overlay(
-    graph: UncertainGraph,
-    extra_edges: Overlay,
-) -> Optional[List[ProbEdge]]:
-    """Flip an overlay for reverse-graph traversal (directed graphs)."""
-    if not extra_edges:
-        return None
-    return [(v, u, p) for u, v, p in extra_edges]
-
-
 class ReliabilityEstimator(ABC):
     """Estimates s-t reliability and reachability probability vectors."""
 
@@ -107,14 +97,15 @@ class ReliabilityEstimator(ABC):
     ) -> Dict[int, float]:
         """Probability that each node reaches ``target``.
 
-        Default implementation runs :meth:`reachability_from` on the
-        reverse graph; undirected graphs reuse the forward direction.
+        Mirrors :meth:`reachability_from`.  Samplers sweep their
+        forward plan's :meth:`~repro.engine.csr.QueryPlan.reverse_view`
+        from ``target``.  The default serves undirected graphs only.
         """
         if not graph.directed:
             return self.reachability_from(graph, target, extra_edges)
-        reversed_graph = graph.reverse()
-        flipped = reverse_overlay(graph, extra_edges)
-        return self.reachability_from(reversed_graph, target, flipped)
+        raise NotImplementedError(
+            f"{type(self).__name__} does not support directed reachability_to"
+        )
 
     def pair_reliabilities(
         self,

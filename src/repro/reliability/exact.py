@@ -19,46 +19,25 @@ Two algorithms are provided:
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Optional, Set, Tuple
+from typing import Callable, Dict, Optional, Set, Tuple
 
 from ..graph import UncertainGraph
 from .estimator import Overlay, ReliabilityEstimator
 
 
-def _forward_reachable(graph: UncertainGraph, source: int, min_p: float = 0.0) -> Set[int]:
-    """Nodes reachable from source via edges with p > min_p."""
-    seen = {source}
-    frontier = deque([source])
+def _reachable(
+    start: int,
+    neighbors: Callable[[int], Dict[int, float]],
+    usable: Callable[[float], bool],
+) -> Set[int]:
+    """Nodes BFS reaches from ``start`` over ``neighbors(u)`` entries
+    ``(v, p)`` whose probability passes ``usable(p)``."""
+    seen = {start}
+    frontier = deque([start])
     while frontier:
         u = frontier.popleft()
-        for v, p in graph.successors(u).items():
-            if v not in seen and p > min_p:
-                seen.add(v)
-                frontier.append(v)
-    return seen
-
-
-def _backward_reachable(graph: UncertainGraph, target: int, min_p: float = 0.0) -> Set[int]:
-    """Nodes that can reach target via edges with p > min_p."""
-    seen = {target}
-    frontier = deque([target])
-    while frontier:
-        u = frontier.popleft()
-        for v, p in graph.predecessors(u).items():
-            if v not in seen and p > min_p:
-                seen.add(v)
-                frontier.append(v)
-    return seen
-
-
-def _certainly_reachable(graph: UncertainGraph, source: int) -> Set[int]:
-    """Nodes reachable from source via probability-1 edges only."""
-    seen = {source}
-    frontier = deque([source])
-    while frontier:
-        u = frontier.popleft()
-        for v, p in graph.successors(u).items():
-            if v not in seen and p >= 1.0:
+        for v, p in neighbors(u).items():
+            if v not in seen and usable(p):
                 seen.add(v)
                 frontier.append(v)
     return seen
@@ -102,31 +81,24 @@ def _relevant_subgraph(
     target: int,
 ) -> Optional[UncertainGraph]:
     """Subgraph of edges on some s→t path with p > 0; None if disconnected."""
-    fwd = _forward_reachable(graph, source)
+    fwd = _reachable(source, graph.successors, lambda p: p > 0.0)
     if target not in fwd:
         return None
-    bwd = _backward_reachable(graph, target)
-    keep = fwd & bwd
+    keep = fwd & _reachable(target, graph.predecessors, lambda p: p > 0.0)
     keep.add(source)
     keep.add(target)
     sub = UncertainGraph(directed=graph.directed)
     sub.add_node(source)
     sub.add_node(target)
     for u, v, p in graph.edges():
-        if p <= 0.0:
-            continue
-        if graph.directed:
-            if u in keep and v in keep:
-                sub.add_edge(u, v, p)
-        else:
-            if u in keep and v in keep:
-                sub.add_edge(u, v, p)
+        if p > 0.0 and u in keep and v in keep:
+            sub.add_edge(u, v, p)
     return sub
 
 
 def _factor(graph: UncertainGraph, source: int, target: int) -> float:
     """Recursive factoring on a pre-pruned graph."""
-    sure = _certainly_reachable(graph, source)
+    sure = _reachable(source, graph.successors, lambda p: p >= 1.0)
     if target in sure:
         return 1.0
     # Pick an uncertain edge leaving the certain region (guaranteed to
@@ -233,13 +205,33 @@ class ExactEstimator(ReliabilityEstimator):
         source: int,
         extra_edges: Overlay = None,
     ) -> Dict[int, float]:
+        return self._nonzero(graph, extra_edges, lambda node: (source, node))
+
+    def reachability_to(
+        self,
+        graph: UncertainGraph,
+        target: int,
+        extra_edges: Overlay = None,
+    ) -> Dict[int, float]:
+        """``R(v, target)`` for every node ``v``."""
+        if not graph.directed:  # R(v, t) = R(t, v)
+            return self.reachability_from(graph, target, extra_edges)
+        return self._nonzero(graph, extra_edges, lambda node: (node, target))
+
+    def _nonzero(
+        self,
+        graph: UncertainGraph,
+        extra_edges: Overlay,
+        pair: Callable[[int], Tuple[int, int]],
+    ) -> Dict[int, float]:
+        """Each node's reliability over ``pair(node)`` where non-zero."""
         extra = list(extra_edges) if extra_edges else None
         # Overlay-only endpoints are nodes too (appended after the
         # graph's own nodes).
         nodes = graph.with_edges(extra).nodes() if extra else graph.nodes()
         result = {}
         for node in nodes:
-            value = self.reliability(graph, source, node, extra)
+            value = self.reliability(graph, *pair(node), extra)
             if value > 0.0:
                 result[node] = value
         return result

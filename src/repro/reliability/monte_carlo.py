@@ -90,6 +90,16 @@ class MonteCarloEstimator(ReliabilityEstimator):
     ) -> Dict[int, float]:
         return self.multi_source_reachability(graph, [source], extra_edges)
 
+    def reachability_to(
+        self,
+        graph: UncertainGraph,
+        target: int,
+        extra_edges: Overlay = None,
+    ) -> Dict[int, float]:
+        """The plan's reverse view, swept from ``target`` over one batch
+        sampled on the plan."""
+        return self._reach(graph, [target], extra_edges, reverse=True)
+
     def pair_reliabilities(
         self,
         graph: UncertainGraph,
@@ -122,10 +132,19 @@ class MonteCarloEstimator(ReliabilityEstimator):
         All sources seed one reached-bitmask, so each world is shared
         across sources by construction.
         """
+        return self._reach(graph, sources, extra_edges)
+
+    def _reach(
+        self,
+        graph: UncertainGraph,
+        sources: Sequence[int],
+        extra_edges: Overlay,
+        reverse: bool = False,
+    ) -> Dict[int, float]:
         extra = list(extra_edges) if extra_edges else None
         plan = build_query_plan(graph, extra)
         if all(plan.node_index(s) is None for s in sources):
             return {}
-        return engine_batch.reach_frequencies(
-            plan, self._sample(plan), sources
-        )
+        batch = self._sample(plan)
+        sweep = plan.reverse_view() if reverse else plan
+        return engine_batch.reach_frequencies(sweep, batch, sources)

@@ -16,7 +16,7 @@ the effect Tables 6 and 7 measure.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Set, Tuple
 
 import numpy as np
 
@@ -36,20 +36,28 @@ EdgeKey = Tuple[int, int]
 
 
 class _Adjacency:
-    """Merged view of graph + overlay edges with stable edge keys."""
+    """Merged view of graph + overlay edges with stable edge keys.
 
-    def __init__(self, graph: UncertainGraph, overlay: Dict[int, List[Tuple[int, float]]]):
-        self._succ = graph.successors
-        self._overlay = overlay
+    ``reverse`` walks a directed graph's predecessors but keys each edge
+    by its forward identity, so stratum pins name the forward plan's edges.
+    """
+
+    def __init__(self, graph: UncertainGraph, extra: Overlay, reverse: bool = False):
+        self._reverse = reverse and graph.directed
+        self._nbrs = graph.predecessors if self._reverse else graph.successors
+        if self._reverse:
+            extra = [(v, u, p) for u, v, p in extra or ()]
+        self._overlay = build_overlay(graph, extra)
         self._canonical = not graph.directed
 
     def key(self, u: int, v: int) -> EdgeKey:
-        if self._canonical and v < u:
+        """Forward key of the edge traversed ``u -> v``."""
+        if self._reverse or (self._canonical and v < u):
             return (v, u)
         return (u, v)
 
     def neighbors(self, u: int) -> Iterable[Tuple[int, float, EdgeKey]]:
-        for v, p in self._succ(u).items():
+        for v, p in self._nbrs(u).items():
             yield v, p, self.key(u, v)
         for v, p in self._overlay.get(u, ()):
             yield v, p, self.key(u, v)
@@ -134,8 +142,8 @@ class RecursiveStratifiedSampler(ReliabilityEstimator):
         rng = np.random.default_rng(self.seed)
         if source not in graph:
             return sample_worlds(plan, self.num_samples, rng)
-        adj = _Adjacency(graph, {})
-        certain = self._certain_region(adj, source, {})
+        adj = _Adjacency(graph, None)
+        certain = self._region(adj, source, {}, lambda p: p >= 1.0)
         ranked = self._select_strata_edges(adj, certain, {})
         strata = []
         absent: List[int] = []
@@ -168,7 +176,7 @@ class RecursiveStratifiedSampler(ReliabilityEstimator):
         plan = build_query_plan(graph, extra)
         if plan.node_index(source) is None or plan.node_index(target) is None:
             return 0.0  # overlay endpoints count as nodes
-        adj = _Adjacency(graph, build_overlay(graph, extra))
+        adj = _Adjacency(graph, extra)
         self._active_plan = plan
         try:
             return self._estimate(adj, source, target, {}, self.num_samples, 0)
@@ -181,20 +189,40 @@ class RecursiveStratifiedSampler(ReliabilityEstimator):
         source: int,
         extra_edges: Overlay = None,
     ) -> Dict[int, float]:
+        return self._reach(graph, source, extra_edges)
+
+    def reachability_to(
+        self,
+        graph: UncertainGraph,
+        target: int,
+        extra_edges: Overlay = None,
+    ) -> Dict[int, float]:
+        """The vector recursion over predecessors, with Monte Carlo
+        leaves swept over the plan's reverse view."""
+        return self._reach(graph, target, extra_edges, reverse=True)
+
+    def _reach(
+        self,
+        graph: UncertainGraph,
+        node: int,
+        extra_edges: Overlay,
+        reverse: bool = False,
+    ) -> Dict[int, float]:
         extra = list(extra_edges) if extra_edges else None
         plan = build_query_plan(graph, extra)
-        if plan.node_index(source) is None:
+        if plan.node_index(node) is None:
             return {}  # named by neither the graph nor the overlay
-        adj = _Adjacency(graph, build_overlay(graph, extra))
-        self._active_plan = plan
+        adj = _Adjacency(graph, extra, reverse)
+        # The view shares the plan's edge table, hence its coins.
+        self._active_plan = plan.reverse_view() if reverse else plan
         counts: Dict[int, float] = {}
         try:
             self._estimate_vector(
-                adj, source, {}, self.num_samples, 0, 1.0, counts
+                adj, node, {}, self.num_samples, 0, 1.0, counts
             )
         finally:
             self._active_plan = None
-        counts[source] = 1.0
+        counts[node] = 1.0
         return counts
 
     # ------------------------------------------------------------------
@@ -209,10 +237,10 @@ class RecursiveStratifiedSampler(ReliabilityEstimator):
         budget: int,
         depth: int,
     ) -> float:
-        certain = self._certain_region(adj, source, forced)
+        certain = self._region(adj, source, forced, lambda p: p >= 1.0)
         if target in certain:
             return 1.0
-        if target not in self._potential_region(adj, source, forced):
+        if target not in self._region(adj, source, forced, lambda p: p > 0.0):
             return 0.0
         if depth >= self.max_depth or budget < self.mc_threshold:
             return self._monte_carlo(source, target, forced, max(budget, 1))
@@ -271,7 +299,7 @@ class RecursiveStratifiedSampler(ReliabilityEstimator):
         out: Dict[int, float],
     ) -> None:
         """Accumulate ``weight * P(node reachable)`` into ``out``."""
-        certain = self._certain_region(adj, source, forced)
+        certain = self._region(adj, source, forced, lambda p: p >= 1.0)
         if depth >= self.max_depth or budget < self.mc_threshold:
             self._monte_carlo_vector(source, forced, max(budget, 1), weight, out)
             return
@@ -315,44 +343,23 @@ class RecursiveStratifiedSampler(ReliabilityEstimator):
     # helpers
     # ------------------------------------------------------------------
     @staticmethod
-    def _certain_region(
+    def _region(
         adj: _Adjacency,
         source: int,
         forced: Dict[EdgeKey, bool],
+        unpinned: Callable[[float], bool],
     ) -> Set[int]:
-        """Nodes reachable via forced-present or probability-1 edges."""
+        """Nodes reached from ``source`` over edges pinned present or,
+        unpinned, passing ``unpinned(p)``: ``p >= 1`` gives the certain
+        region, ``p > 0`` the region every undetermined edge could open."""
         seen = {source}
         frontier = deque([source])
         while frontier:
             u = frontier.popleft()
             for v, p, key in adj.neighbors(u):
-                if v in seen:
-                    continue
-                status = forced.get(key)
-                if status is True or (status is None and p >= 1.0):
+                if v not in seen and forced.get(key, unpinned(p)):
                     seen.add(v)
                     frontier.append(v)
-        return seen
-
-    @staticmethod
-    def _potential_region(
-        adj: _Adjacency,
-        source: int,
-        forced: Dict[EdgeKey, bool],
-    ) -> Set[int]:
-        """Nodes reachable if every undetermined edge were present."""
-        seen = {source}
-        frontier = deque([source])
-        while frontier:
-            u = frontier.popleft()
-            for v, p, key in adj.neighbors(u):
-                if v in seen:
-                    continue
-                status = forced.get(key)
-                if status is False or (status is None and p <= 0.0):
-                    continue
-                seen.add(v)
-                frontier.append(v)
         return seen
 
     def _select_strata_edges(

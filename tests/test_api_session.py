@@ -371,13 +371,24 @@ class TestMaximizeThroughSession:
 
     def test_hc_query_coin_word_budget(self, monkeypatch):
         """Work counter for every keyed coin word one hill-climbing
-        ``mc`` query draws, so a return of a full resample (say, of
-        the final evaluation) fails here on any machine."""
+        ``mc`` query draws, and for every graph compile it runs, so a
+        return of a full resample (say, of the final evaluation) or of
+        a second compile (say, of a reversed graph copy for the into-t
+        elimination) fails here on any machine."""
         import repro.engine.batch as batch_module
+        import repro.engine.csr as csr_module
         import repro.engine.kernel as kernel_module
         import repro.engine.selection as selection_module
 
         draws = []  # (call site, uint64 coin words drawn)
+        compiles = []
+        real_compile = csr_module._compile
+
+        def counted_compile(graph):
+            compiles.append(graph)
+            return real_compile(graph)
+
+        monkeypatch.setattr(csr_module, "_compile", counted_compile)
 
         def spy(module, name, site):
             real = getattr(module, name)
@@ -403,6 +414,7 @@ class TestMaximizeThroughSession:
         )
         result = session.maximize(MaximizeQuery(0, 29, k=3, method="hc"))
         assert len(result.edges) == 3
+        assert compiles == [graph]  # into-t sweeps use the reverse view
         select_w, evaluate_w = 10, 15  # words per row at Z = 640 / 960
         full_select = graph.num_edges * select_w
         assert draws == [
@@ -411,9 +423,9 @@ class TestMaximizeThroughSession:
             ("sample", full_select),  # the selection batch
             # Greedy rounds: coin words only where a gain mask is
             # nonzero, and each committed winner's full row.
-            ("sparse", 542), ("winner", select_w),
-            ("sparse", 426), ("winner", select_w),
-            ("sparse", 333),
+            ("sparse", 558), ("winner", select_w),
+            ("sparse", 435), ("winner", select_w),
+            ("sparse", 331),
             ("sample", graph.num_edges * evaluate_w),  # evaluation batch
             # The final evaluation adds only the chosen edges' rows.
             ("overlay", len(result.edges) * evaluate_w),

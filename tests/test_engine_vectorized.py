@@ -380,9 +380,7 @@ class TestOverlayOnlyEndpoints:
         }
         self.check_vector(vector, truth, samples)
 
-    # BFS-sharing indexes one graph, and the default reachability_to
-    # runs on its reverse, so it answers only undirected queries.
-    @pytest.mark.parametrize("name", VECTOR_NAMES[:-1])
+    @pytest.mark.parametrize("name", VECTOR_NAMES)
     def test_overlay_only_target_of_reachability_to(self, name):
         g = UncertainGraph.from_edges(self.GRAPH_EDGES, directed=True)
         overlay = [(1, 99, 1.0)]

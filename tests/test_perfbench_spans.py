@@ -4,8 +4,11 @@
 example ``repro.engine.batch.sample_worlds`` and
 ``RecursiveStratifiedSampler.reliability``), so deleting or renaming one
 breaks ``perfbench/run.py --trace 1``, and an estimator that samples
-around the wrapped names drops out of the traces silently.  ``install``
-patches modules for the life of the process, so it runs in a child.
+around the wrapped names drops out of the traces silently.  The child
+checks every estimator's reliability queries and its directed
+``reachability_to`` (the into-target half of search-space
+elimination).  ``install`` patches modules for the life of the
+process, so it runs in a child.
 """
 
 import json
@@ -31,11 +34,17 @@ def calls(name):
     return tracer.summary()["names"].get(name, [0])[0]
 
 
+directed = UncertainGraph.from_edges(
+    [(0, 1, 0.5), (1, 2, 0.5), (0, 2, 0.2)], directed=True
+)
 seen = {}
 for name in estimator_names():
     before = calls("engine.kernel.sample")
     make_estimator(name, 128, seed=1).reliability(graph, 0, 2)
     seen[name] = calls("engine.kernel.sample") - before
+    before = calls("engine.kernel.sample")
+    make_estimator(name, 128, seed=1).reachability_to(directed, 2)
+    seen[name + " reachability_to"] = calls("engine.kernel.sample") - before
 before = calls("engine.batch.sweep")
 make_estimator("mc", 128, seed=1).pair_reliabilities(graph, [(0, 2), (1, 2)])
 seen["mc pair sweeps"] = calls("engine.batch.sweep") - before

@@ -5,8 +5,10 @@ sources, plus the suppression mechanism, path scoping, and the CLI
 surface (exit codes, --list-rules, unknown paths).
 """
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -317,9 +319,16 @@ def test_main_list_rules(capsys):
 
 
 def test_module_entry_point_runs():
+    # The child imports repro from this checkout, installed or not.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join([src, path]) if path else src,
+    )
     proc = subprocess.run(
         [sys.executable, "-m", "repro.analysis", "--list-rules"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert "REP001" in proc.stdout

@@ -8,6 +8,9 @@ identity on directed and undirected graphs, the reverse-plan cache
 semantics, and the routing/backend plumbing around the kernel.
 """
 
+import gc
+import pickle
+
 import numpy as np
 import pytest
 
@@ -18,10 +21,10 @@ from repro.graph import (
     fixed_new_edge_probability,
 )
 from repro.engine import (
+    QueryPlan,
     SelectionGainKernel,
     batch_reach,
     compile_plan,
-    compile_reverse_plan,
     extend_batch,
     extend_with_overlay,
     popcount,
@@ -248,6 +251,40 @@ class TestReversePlan:
         assert reverse.reverse_view() is plan
         assert plan.reverse_view() is reverse  # cached
 
+    def test_plan_and_view_freed_without_cyclic_gc(self):
+        """Only the plan holds its view strongly, so dropping the graph
+        frees the plan and its reverse view by reference counting."""
+
+        def live_plans():
+            return sum(isinstance(o, QueryPlan) for o in gc.get_objects())
+
+        gc.collect()
+        gc.disable()
+        try:
+            before = live_plans()
+            g = build_graph(True, seed=33)
+            p = compile_plan(g)
+            p.reverse_view()
+            assert live_plans() == before + 2
+            del p, g
+            assert live_plans() == before
+        finally:
+            gc.enable()
+
+    def test_graph_with_cached_view_pickles(self, directed_diamond):
+        """A pickled graph carries its cached plan; the view's weak
+        back-reference stays out of the pickle and is rebuilt."""
+        plan = compile_plan(directed_diamond)
+        view = plan.reverse_view()
+        graph = pickle.loads(pickle.dumps(directed_diamond))
+        copy = compile_plan(graph)
+        assert copy.reverse_view().reverse_view() is copy
+        for name in ("arc_src", "arc_dst", "arc_eid", "probs", "edge_u"):
+            assert np.array_equal(getattr(copy, name), getattr(plan, name))
+            assert np.array_equal(
+                getattr(copy.reverse_view(), name), getattr(view, name)
+            )
+
     def test_reverse_reach_transposes_forward_reach(self):
         """Bit-exact: x⇝t via the reverse plan == t-row of the forward
         BFS from x, for every node x, in every sampled world."""
@@ -261,10 +298,10 @@ class TestReversePlan:
             assert np.array_equal(into_t[x], forward[t]), f"node {x}"
 
     def test_compile_reverse_plan_cached_per_version(self, directed_diamond):
-        first = compile_reverse_plan(directed_diamond)
-        assert compile_reverse_plan(directed_diamond) is first
+        first = compile_plan(directed_diamond).reverse_view()
+        assert compile_plan(directed_diamond).reverse_view() is first
         directed_diamond.add_edge(3, 0, 0.5)  # version bump
-        second = compile_reverse_plan(directed_diamond)
+        second = compile_plan(directed_diamond).reverse_view()
         assert second is not first
         assert second.num_edges == first.num_edges + 1
         # The new reverse plan must traverse the new edge backwards.

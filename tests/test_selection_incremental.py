@@ -116,8 +116,11 @@ class TestIncrementalMasks:
             row = kernel.candidate_rows(round_index, [edge], batch)[0]
             plan = extend_with_overlay(plan, [edge])
             batch = extend_batch(batch, row[None, :])
-            forward = kernel._advance_forward(plan, batch, forward, edge, row)
-            reverse = kernel._advance_reverse(plan, batch, reverse, edge, row)
+            u, v, _p = edge
+            forward = kernel._advance(plan, batch, forward, u, v, row)
+            reverse = kernel._advance(
+                plan.reverse_view(), batch, reverse, v, u, row
+            )
             assert np.array_equal(forward, batch_reach(plan, batch, [src]))
             assert np.array_equal(
                 reverse, batch_reach(plan.reverse_view(), batch, [dst])
@@ -286,7 +289,7 @@ class TestConditionedBackendRouting:
         assert batch.num_samples == 256
         assert int(popcount(batch.valid).sum()) == 256
         adj = _Adjacency(graph, {})
-        certain = est._certain_region(adj, 0, {})
+        certain = est._region(adj, 0, {}, lambda p: p >= 1.0)
         ranked = est._select_strata_edges(adj, certain, {})
         assert ranked  # source 0 has an undetermined frontier here
         weights = []

@@ -99,20 +99,6 @@ class TestDirectedSemantics:
         assert g.probability(0, 1) == 0.4
         assert g.probability(1, 0) == 0.7
 
-    def test_reverse(self):
-        g = UncertainGraph(directed=True)
-        g.add_edge(0, 1, 0.4)
-        g.add_node(9)
-        rev = g.reverse()
-        assert rev.has_edge(1, 0)
-        assert not rev.has_edge(0, 1)
-        assert rev.has_node(9)
-
-    def test_reverse_of_undirected_is_self(self):
-        g = UncertainGraph()
-        g.add_edge(0, 1, 0.4)
-        assert g.reverse() is g
-
     def test_degree_counts_in_and_out(self):
         g = UncertainGraph(directed=True)
         g.add_edge(0, 1, 0.4)
