@@ -2,10 +2,11 @@
 
 Two gates from the sweep-engine rework:
 
-* **Gated multi-source fusion.**  ``batch_reach_multi`` gathers only
-  the active ``(arc, source)`` pairs per sweep, so fusing
-  ``S`` sources costs ``max`` (not ``sum``) of the per-source sweep
-  counts without the old full-width byte blowup.  On sweep-bound graphs
+* **Gated multi-source fusion.**  ``reach_each`` sweeps a pass of
+  ``S`` sources as ``S`` blocks of one fixpoint loop that gathers only
+  the active ``(arc, source)`` pairs per sweep, so fusing ``S``
+  sources costs ``max`` (not ``sum``) of the per-source sweep counts
+  without the old full-width byte blowup.  On sweep-bound graphs
   (high diameter, near-deterministic edges — the paper's road/sensor
   chains) the fused pass must be **>= 3x** faster than per-source
   sweeps at Z=4096 / S=16 on a 1k-node graph; on frontier-dense random
@@ -41,8 +42,8 @@ import numpy as np  # noqa: E402
 from repro.engine import (  # noqa: E402
     SelectionGainKernel,
     batch_reach,
-    batch_reach_multi,
     compile_plan,
+    reach_each,
     sample_worlds,
 )
 from repro.graph import UncertainGraph, assign_uniform, erdos_renyi  # noqa: E402
@@ -86,15 +87,15 @@ def sweep_case(graph, num_samples: int, num_sources: int, repeats: int):
         int(x) for x in np.linspace(0, graph.num_nodes - 1, num_sources)
     ]
     singles = [batch_reach(plan, batch, [s]) for s in sources]
-    fused = batch_reach_multi(plan, batch, sources)
+    fused = list(reach_each(plan, batch, sources))
     mismatches = sum(
-        not np.array_equal(fused[:, i], single)
-        for i, single in enumerate(singles)
+        not np.array_equal(mask, single)
+        for mask, single in zip(fused, singles, strict=True)
     )
     per_source = best_of(
         lambda: [batch_reach(plan, batch, [s]) for s in sources], repeats
     )
-    gated = best_of(lambda: batch_reach_multi(plan, batch, sources), repeats)
+    gated = best_of(lambda: list(reach_each(plan, batch, sources)), repeats)
     return {
         "num_samples": num_samples,
         "num_words": (num_samples + 63) // 64,

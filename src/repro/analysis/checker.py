@@ -24,19 +24,11 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tupl
 
 import ast
 
-from .rules import ALL_RULES, Diagnostic, FileContext, Rule, module_aliases
+from .rules import ALL_RULES, Diagnostic, FileContext, module_aliases
 
 _SUPPRESS_RE = re.compile(
     r"#\s*repro-check\s*:\s*disable=([A-Za-z0-9_,\s]+)"
 )
-
-
-def rule_by_code(code: str) -> Rule:
-    """Look up a rule by its ``REPxxx`` code."""
-    for rule in ALL_RULES:
-        if rule.code == code:
-            return rule
-    raise KeyError(f"unknown rule {code!r}")
 
 
 def package_relative(path: Path) -> Optional[Tuple[str, ...]]:

@@ -63,6 +63,7 @@ from ..engine import (
     repair_batch,
     sample_worlds,
     scatter_world_columns,
+    seed_resume,
     world_index_of,
 )
 from ..faults import FaultError, fault_point
@@ -559,8 +560,10 @@ class Session:
         world-bit only matters when the edge was traversable from the
         reached set, so a clean overlap check proves the old fixpoint
         is the new one.  Dirty states are dropped (they recompute
-        lazily).  Coin-row *additions* are monotone: seed the far
-        endpoint with the worlds the near one already reaches, then one
+        lazily).  Coin-row *additions* are monotone:
+        :func:`~repro.engine.kernel.seed_resume` pads the state and
+        seeds the far endpoint with the worlds the near one already
+        reaches, then one
         :func:`~repro.engine.kernel.batch_reach_resume` from the
         seeded endpoints converges to the exact new fixpoint.  The
         resume runs over a world-compacted sub-batch
@@ -575,7 +578,6 @@ class Session:
         additions = [c for c in changes if bool(np.any(c.added))]
         kept: Dict[int, "np.ndarray"] = {}
         resumed = dropped = 0
-        num_nodes = plan.num_nodes
         # Worlds are column-independent, so only the worlds where some
         # edited edge gained a coin can grow any fixpoint.  Resume over
         # a sub-batch of exactly those columns (built lazily, shared by
@@ -587,17 +589,8 @@ class Session:
             for change in additions[1:]:
                 gain_mask |= change.added
             gain_index = world_index_of(gain_mask)
+        added_arcs = [(c.u, c.v, c.added) for c in additions]
         for src, state in states.items():
-            if state.shape[0] < num_nodes:
-                # New endpoints interned behind the old rows; existing
-                # dense indices are stable, so zero-pad below.
-                state = np.vstack([
-                    state,
-                    np.zeros(
-                        (num_nodes - state.shape[0], state.shape[1]),
-                        dtype=np.uint64,
-                    ),
-                ])
             dirty = False
             for change in removals:
                 u_idx = plan.index_of[change.u]
@@ -611,19 +604,8 @@ class Session:
             if dirty:
                 dropped += 1
                 continue
-            frontier: List[int] = []
-            for change in additions:
-                u_idx = plan.index_of[change.u]
-                v_idx = plan.index_of[change.v]
-                gain = state[u_idx] & change.added & ~state[v_idx]
-                if bool(np.any(gain)):
-                    state[v_idx] |= gain
-                    frontier.append(v_idx)
-                if not plan.directed:
-                    gain = state[v_idx] & change.added & ~state[u_idx]
-                    if bool(np.any(gain)):
-                        state[u_idx] |= gain
-                        frontier.append(u_idx)
+            # Pads rows for interned nodes even with nothing to seed.
+            state, frontier = seed_resume(plan, state, added_arcs)
             if frontier and gain_index is not None and gain_index.size:
                 if compact_batch is None:
                     compact_batch = extract_worlds(batch, gain_index)

@@ -7,7 +7,6 @@ from .common import (
     all_missing_edges,
     dedupe_canonical,
     selection_kernel_for,
-    with_probabilities,
 )
 from .individual_topk import individual_top_k
 from .hill_climbing import hill_climbing
@@ -30,7 +29,6 @@ __all__ = [
     "all_missing_edges",
     "dedupe_canonical",
     "selection_kernel_for",
-    "with_probabilities",
     "individual_top_k",
     "hill_climbing",
     "betweenness_centrality",

@@ -63,14 +63,6 @@ def selection_kernel_for(
     )
 
 
-def with_probabilities(
-    candidates: Iterable[Edge],
-    new_edge_prob: NewEdgeProbability,
-) -> List[ProbEdge]:
-    """Attach model probabilities to candidate pairs."""
-    return [(u, v, new_edge_prob(u, v)) for u, v in candidates]
-
-
 def all_missing_edges(
     graph: UncertainGraph,
     h: Optional[int] = None,

@@ -24,7 +24,6 @@ from .kernel import (
     allocate_proportional,
     batch_from_words,
     batch_reach,
-    batch_reach_multi,
     batch_reach_resume,
     batch_to_words,
     coin_base,
@@ -45,6 +44,7 @@ from .kernel import (
     sample_worlds_keyed,
     sample_worlds_stratified,
     scatter_world_columns,
+    seed_resume,
     unpack_bool_matrix,
     unpack_word_row,
     valid_sample_mask,
@@ -69,7 +69,6 @@ __all__ = [
     "allocate_proportional",
     "batch_from_words",
     "batch_reach",
-    "batch_reach_multi",
     "batch_reach_resume",
     "batch_to_words",
     "coin_base",
@@ -90,6 +89,7 @@ __all__ = [
     "sample_worlds_keyed",
     "sample_worlds_stratified",
     "scatter_world_columns",
+    "seed_resume",
     "unpack_bool_matrix",
     "unpack_word_row",
     "valid_sample_mask",

@@ -746,9 +746,7 @@ def batch_reach(
     Every BFS sweep advances all ``Z`` worlds one frontier step; the loop
     runs until no world's reached set grows (bounded by the diameter).
     Sweeps are frontier-restricted: only arcs whose source row changed
-    in the previous sweep are gathered, and because the arc table is
-    destination-sorted any subset of it stays destination-sorted, so
-    the segmented ``reduceat`` scatter works unchanged on the subset.
+    in the previous sweep are gathered (:func:`_sweep`).
 
     Passing several sources computes reachability *from the source set*
     in each world — exactly the union semantics multi-source queries
@@ -756,13 +754,10 @@ def batch_reach(
     row saturates against the valid mask (all worlds reached it).
     """
     sources = list(source_indices)
-    reached = np.zeros((plan.num_nodes, batch.num_words), dtype=np.uint64)
-    reached[sources] = batch.valid
-    if plan.arc_src.size == 0:
-        return reached
-    frontier = np.zeros(plan.num_nodes, dtype=bool)
-    frontier[sources] = True
-    return _sweep_fixpoint(plan, batch, reached, frontier, target_index)
+    state = np.zeros((1, plan.num_nodes, batch.num_words), dtype=np.uint64)
+    state[0, sources] = batch.valid
+    _sweep(plan, batch, state, sources, target_index)
+    return state[0]
 
 
 def batch_reach_resume(
@@ -784,74 +779,74 @@ def batch_reach_resume(
     instead of re-sweeping all worlds from the query endpoints
     (:mod:`repro.engine.selection`).
 
-    ``reached`` is updated in place (and also returned).  Rows for
-    nodes the plan added since the state was built must already be
-    present (zero-padded) — see
-    :meth:`repro.engine.selection.SelectionGainKernel`.
+    ``reached`` is updated in place (and also returned), through a view
+    of the caller's array whatever its memory layout.  Rows for nodes
+    the plan added since the state was built must already be present
+    (zero-padded) — see :func:`seed_resume`.
     """
     if reached.shape[0] != plan.num_nodes:
         raise ValueError(
             f"reached has {reached.shape[0]} rows for a plan with "
             f"{plan.num_nodes} nodes; pad before resuming"
         )
-    if plan.arc_src.size == 0:
-        return reached
-    frontier = np.zeros(plan.num_nodes, dtype=bool)
-    frontier[list(frontier_nodes)] = True
-    return _sweep_fixpoint(plan, batch, reached, frontier, None)
-
-
-def _sweep_fixpoint(
-    plan: QueryPlan,
-    batch: WorldBatch,
-    reached: np.ndarray,
-    frontier: np.ndarray,
-    target_index: Optional[int],
-) -> np.ndarray:
-    """Run frontier-restricted sweeps over ``reached`` until fixpoint."""
-    arc_src = plan.arc_src
-    arc_dst = plan.arc_dst
-    arc_eid = plan.arc_eid
-    alive = batch.alive
-    while True:
-        active = np.flatnonzero(frontier[arc_src])
-        if active.size == 0:
-            break
-        contrib = reached[arc_src[active]] & alive[arc_eid[active]]
-        sub_dst = arc_dst[active]
-        starts = np.flatnonzero(
-            np.concatenate(([True], sub_dst[1:] != sub_dst[:-1]))
-        )
-        agg = np.bitwise_or.reduceat(contrib, starts, axis=0)
-        touched = sub_dst[starts]
-        current = reached[touched]
-        updated = current | agg
-        changed = np.any(updated != current, axis=1)
-        frontier[:] = False
-        if not changed.any():
-            break
-        changed_nodes = touched[changed]
-        reached[changed_nodes] = updated[changed]
-        frontier[changed_nodes] = True
-        if target_index is not None and np.array_equal(
-            reached[target_index], batch.valid
-        ):
-            break
+    _sweep(plan, batch, reached[np.newaxis], list(frontier_nodes))
     return reached
 
 
-#: Reached-state budget of one fused pass of :func:`reach_each`, in
-#: uint64 words (``S * n * W``); 4M words = 32 MB.  Larger source sets
-#: are swept in several passes.
+def seed_resume(
+    plan: QueryPlan,
+    reached: np.ndarray,
+    arcs: Iterable[Tuple[int, int, np.ndarray]],
+) -> Tuple[np.ndarray, List[int]]:
+    """Seed a reached fixpoint with new coin bits, ready to resume.
+
+    ``arcs`` holds ``(u, v, row)`` triples in node-id space: ``row`` is
+    the ``(W,)`` word row of worlds in which the arc ``u -> v`` newly
+    exists.  First zero-pads ``reached`` with a row for every node the
+    plan interned after the state was built (existing dense indices are
+    stable; a new node is unreachable until an edge connects it).  Then
+    each arc sets ``reached[v] |= row & reached[u] & ~reached[v]`` —
+    exactly the worlds the arc connects that were not connected before —
+    and the swap when the plan is undirected.  Returns the padded state
+    (``reached`` itself, seeded in place, when no row was added) and the
+    dense indices of the rows that gained bits, which are the frontier
+    :func:`batch_reach_resume` continues from.
+    """
+    missing = plan.num_nodes - reached.shape[0]
+    if missing > 0:
+        reached = np.concatenate([
+            reached, np.zeros((missing, reached.shape[1]), dtype=np.uint64)
+        ])
+    seeded: List[int] = []
+    for u, v, row in arcs:
+        tail, head = plan.index_of[u], plan.index_of[v]
+        ends = [(tail, head)]
+        if not plan.directed:
+            ends.append((head, tail))
+        for near, far in ends:
+            gain = row & reached[near] & ~reached[far]
+            if gain.any():
+                reached[far] |= gain
+                seeded.append(far)
+    return reached, seeded
+
+
+#: Reached-state budget of one pass of :func:`reach_each`, in uint64
+#: words (``S * n * W``); 4M words = 32 MB.  Larger source sets are
+#: swept in several passes.
 _MULTI_SOURCE_WORD_BUDGET = 4_000_000
 
-#: Gated-sweep chunking: at most this many pairs per chunk (measured —
-#: more pairs per call puts ``reduceat`` on its slow
-#: many-segments-per-call path) and at most this many bytes of gather
-#: buffer (keeps temporaries cache-resident at any row width; very wide
-#: rows shrink the pair count instead of growing the buffers).
+#: Sweep chunking: at most this many pairs per chunk (measured — more
+#: pairs per call puts ``reduceat`` on its slow many-segments-per-call
+#: path) and at most this many bytes of gathered rows.  A chunk holds
+#: about five temporaries of that size (gathered rows, coin rows,
+#: current and updated rows, the compare mask), so 128 KiB keeps them
+#: inside a 2 MiB L2 at any row width.  On as-topology (1000 nodes,
+#: one source, 2-core Xeon, numpy 2.4, fresh processes) a fixpoint
+#: took 6.2 / 25 / 79 ms at Z = 1000 / 4096 / 16384 with this budget,
+#: against 15 / 63 / 191 ms with 2 MiB chunks.
 _GATED_CHUNK_PAIRS = 4096
-_GATED_CHUNK_BYTES = 2 << 20
+_GATED_CHUNK_BYTES = 1 << 17
 
 
 def _gated_chunk_pairs(words: int) -> int:
@@ -860,122 +855,103 @@ def _gated_chunk_pairs(words: int) -> int:
     )
 
 
-def batch_reach_multi(
+def _sweep(
     plan: QueryPlan,
     batch: WorldBatch,
-    source_indices: Sequence[int],
-) -> np.ndarray:
-    """Independent per-source reached-bitmasks in one fused sweep.
+    state: np.ndarray,
+    frontier_keys: Sequence[int],
+    target_index: Optional[int] = None,
+) -> int:
+    """The one reachability fixpoint loop, in place over ``state``.
 
-    Runs the same frontier-restricted fixpoint as :func:`batch_reach`,
-    but for ``S`` sources *at once* over the same sampled worlds, so an
-    ``S``-source workload costs ``max`` (not ``sum``) of the per-source
-    sweep counts and the numpy per-sweep overhead is amortized across
-    the whole workload — the multi-source kernel sharing that makes
-    session pair workloads cheap.
+    ``state`` is ``(S, n, W)``: ``S`` independent reached-bitmasks over
+    the same worlds, swept together (an ``S``-block pass costs ``max``,
+    not ``sum``, of the per-block sweep counts, and the numpy per-sweep
+    overhead is paid once).  Row ``v`` of block ``i`` is flat key
+    ``i * n + v``; ``frontier_keys`` are the flat keys of the rows to
+    sweep out of first.
 
-    The fusion is **frontier-gated**: each sweep gathers only the
-    ``(arc, source)`` pairs whose source-local frontier is active.  The
-    per-source frontier is an ``(S, n)`` bool matrix; indexing its
-    arc-source columns yields an ``(S, A)`` activity mask
-    whose flat nonzero positions enumerate pairs already sorted by
-    ``(source block, arc position)`` — the arc table is
-    destination-sorted, so the flat scatter keys ``source * n + dst``
-    are non-decreasing and feed ``bitwise_or.reduceat`` directly, no
-    per-sweep sort needed.  Sweep work is therefore proportional to the
-    *active* frontier (``pairs * W`` words), not ``S * W`` words for
-    every union-frontier arc, which is what extends the fusion win from
-    narrow to wide batches; pairs are processed in cache-sized chunks
-    through preallocated gather buffers, and chunks whose scatter keys
-    are all distinct (the common case on sparse frontiers) skip
-    ``reduceat`` entirely.  Every source's result is bit-for-bit its
-    own :func:`batch_reach` (``benchmarks/bench_sweep_gated.py`` pins
-    this along with the speedup over per-source sweeps).
+    Each sweep gathers only the active ``(arc, block)`` pairs.  It
+    takes the arcs out of a frontier row of any block, and with
+    several blocks the flat nonzero positions of the ``(S, arcs)``
+    frontier mask over those arcs' sources, which come out sorted by
+    ``(block, arc position)`` (a narrow frontier never pays for an
+    ``(S, A)`` mask).  The arc table is destination-sorted, so the
+    scatter keys are non-decreasing and feed ``bitwise_or.reduceat``
+    with no per-sweep sort.  Pairs go through cache-sized chunks
+    (:func:`_gated_chunk_pairs`), and a chunk whose keys are all
+    distinct skips ``reduceat``.  Chunks scatter in order through
+    read-modify-write, so a destination split across chunks, or a row
+    a later chunk gathers after an earlier one grew it, only speeds
+    convergence: reachability is a monotone union, and the fixpoint
+    does not depend on the order the bits land in.  With
+    ``target_index`` (a flat key) the loop stops once that row holds
+    every valid world.
 
-    Returns ``(num_nodes, S, W)``: row ``[v, i]`` is source ``i``'s
-    reached-bits for node ``v``.  Unlike :func:`batch_reach` the union
-    is *not* taken across sources; use ``batch_reach`` for union
-    (multi-source reachability) semantics.
+    The flat ``(S * n, W)`` state is a view with an assigned shape, so
+    a state that cannot be swept in place raises instead of sweeping a
+    copy.  Returns the number of ``(arc, block)`` pairs gathered — the
+    loop's work is that count times ``W`` words.
     """
-    sources = list(source_indices)
-    num_sources = len(sources)
-    words = batch.num_words
-    num_nodes = plan.num_nodes
-    # Source-major layout: block i is source i's own (n, W) sweep; the
-    # flat (S * n, W) view makes (source, node) pairs single scatter
-    # keys.  Transposed back to the public (n, S, W) contract on return.
-    reached = np.zeros((num_sources, num_nodes, words), dtype=np.uint64)
-    for i, src in enumerate(sources):
-        reached[i, src] = batch.valid
-    if plan.arc_src.size == 0 or num_sources == 0:
-        return reached.transpose(1, 0, 2)
-
-    flat = reached.reshape(num_sources * num_nodes, words)
+    num_blocks, num_nodes, words = state.shape
+    flat = state.view()
+    flat.shape = (num_blocks * num_nodes, words)
+    frontier = np.zeros(num_blocks * num_nodes, dtype=bool)
+    frontier[frontier_keys] = True
+    blocks = frontier.reshape(num_blocks, num_nodes)
     arc_src = plan.arc_src
     arc_dst = plan.arc_dst
     arc_eid = plan.arc_eid
     alive = batch.alive
-    num_arcs = arc_src.size
-    frontier = np.zeros((num_sources, num_nodes), dtype=bool)
-    for i, src in enumerate(sources):
-        frontier[i, src] = True
-    flat_frontier = frontier.reshape(-1)
     chunk = _gated_chunk_pairs(words)
-    buf_rows = np.empty((chunk, words), dtype=np.uint64)
-    buf_alive = np.empty((chunk, words), dtype=np.uint64)
+    gathered = 0
     while True:
-        # (S, A) activity mask: pair (i, a) is live iff arc a's source
-        # node is on source i's frontier.  flatnonzero + divmod beats
-        # 2-D nonzero by a wide margin on these small masks.
-        active = frontier[:, arc_src]
-        pair_idx = np.flatnonzero(active.ravel())
-        num_pairs = pair_idx.size
-        if num_pairs == 0:
+        # Arcs out of a frontier row of some block ...
+        live = frontier if num_blocks == 1 else blocks.any(axis=0)
+        arcs = np.flatnonzero(live[arc_src])
+        if arcs.size == 0:
             break
-        src_block = pair_idx // num_arcs
-        arc_pos = pair_idx - src_block * num_arcs
-        flat_frontier[:] = False
-        any_change = False
-        for lo in range(0, num_pairs, chunk):
-            hi = min(lo + chunk, num_pairs)
-            size = hi - lo
-            block_base = src_block[lo:hi] * num_nodes
-            pos = arc_pos[lo:hi]
-            np.take(
-                flat, block_base + arc_src[pos], axis=0,
-                out=buf_rows[:size],
-            )
-            np.take(alive, arc_eid[pos], axis=0, out=buf_alive[:size])
-            contrib = np.bitwise_and(
-                buf_rows[:size], buf_alive[:size], out=buf_rows[:size]
-            )
-            keys = block_base + arc_dst[pos]
-            boundary = np.empty(size, dtype=bool)
-            boundary[0] = True
-            np.not_equal(keys[1:], keys[:-1], out=boundary[1:])
-            if boundary.all():
-                # Every scatter key distinct: reduceat would be a
-                # per-segment copy loop; skip it.
-                agg = contrib
+        src_keys = arc_src[arcs]
+        dst_keys = arc_dst[arcs]
+        eids = arc_eid[arcs]
+        if num_blocks > 1:
+            # ... then the blocks each is live in, as (block, arc) pairs.
+            pos = np.flatnonzero(blocks[:, src_keys])
+            base = pos // arcs.size
+            pos -= base * arcs.size
+            base *= num_nodes
+            src_keys = base + src_keys[pos]
+            dst_keys = base + dst_keys[pos]
+            eids = eids[pos]
+        gathered += eids.size
+        frontier[:] = False
+        grew = False
+        for lo in range(0, eids.size, chunk):
+            keys = dst_keys[lo:lo + chunk]
+            contrib = flat[src_keys[lo:lo + chunk]]
+            contrib &= alive[eids[lo:lo + chunk]]
+            ends = np.flatnonzero(keys[1:] != keys[:-1])
+            if ends.size + 1 == keys.size:  # every key distinct
                 touched = keys
             else:
-                starts = np.flatnonzero(boundary)
-                agg = np.bitwise_or.reduceat(contrib, starts, axis=0)
+                starts = np.concatenate(([0], ends + 1))
+                contrib = np.bitwise_or.reduceat(contrib, starts, axis=0)
                 touched = keys[starts]
             current = flat[touched]
-            updated = current | agg
+            updated = current | contrib
             changed = np.any(updated != current, axis=1)
             if changed.any():
-                # A destination split across chunks is still exact:
-                # chunks run sequentially and scatter through |=-style
-                # read-modify-write, so later chunks see earlier bits.
-                any_change = True
-                changed_keys = touched[changed]
-                flat[changed_keys] = updated[changed]
-                flat_frontier[changed_keys] = True
-        if not any_change:
+                grew = True
+                touched = touched[changed]
+                flat[touched] = updated[changed]
+                frontier[touched] = True
+        if not grew:
             break
-    return reached.transpose(1, 0, 2)
+        if target_index is not None and np.array_equal(
+            flat[target_index], batch.valid
+        ):
+            break
+    return gathered
 
 
 def reach_each(
@@ -986,25 +962,26 @@ def reach_each(
     """Each source's own reached fixpoint, in source order.
 
     The one multi-source sweep path: sources are split into passes of
-    at most :data:`_MULTI_SOURCE_WORD_BUDGET` reached words, a pass of
-    several sources is one frontier-gated :func:`batch_reach_multi`
-    sweep and a lone source runs :func:`batch_reach`.  Yields one
+    at most :data:`_MULTI_SOURCE_WORD_BUDGET` reached words, and a pass
+    is one :func:`_sweep` over a block per source.  Yields one
     C-contiguous ``(num_nodes, W)`` matrix per source, bit-for-bit its
-    ``batch_reach`` fixpoint; a fused pass's matrices are disjoint
-    views of one block, so each can be resumed in place independently
+    :func:`batch_reach` fixpoint; a pass's matrices are disjoint views
+    of one state, so each can be resumed in place independently
     (:func:`batch_reach_resume`).
     """
     sources = list(source_indices)
-    source_words = max(plan.num_nodes * batch.num_words, 1)
-    per_pass = max(1, _MULTI_SOURCE_WORD_BUDGET // source_words)
+    num_nodes = plan.num_nodes
+    words = batch.num_words
+    per_pass = max(1, _MULTI_SOURCE_WORD_BUDGET // max(num_nodes * words, 1))
     for lo in range(0, len(sources), per_pass):
         group = sources[lo:lo + per_pass]
-        if len(group) == 1:
-            yield batch_reach(plan, batch, group)
-        else:
-            fused = batch_reach_multi(plan, batch, group)
-            # Back to the source-major (S, n, W) block the sweep filled.
-            yield from fused.transpose(1, 0, 2)
+        state = np.zeros((len(group), num_nodes, words), dtype=np.uint64)
+        state[np.arange(len(group)), group] = batch.valid
+        _sweep(
+            plan, batch, state,
+            [i * num_nodes + src for i, src in enumerate(group)],
+        )
+        yield from state
 
 
 def hit_fraction(row: np.ndarray, num_samples: int) -> float:

@@ -47,8 +47,9 @@ reachability *only* in worlds where ``c`` landed heads, and only
 downstream of the winner's endpoints.  Because batch reachability is
 monotone (the old fixpoint is a valid partial state of the new one),
 the next round's forward mask is obtained by seeding
-``F[v] |= c & F[u]`` (plus the swap for undirected edges) and resuming
-the sweep from the endpoints whose rows changed
+``F[v] |= c & F[u]`` (plus the swap for undirected edges;
+:func:`~repro.engine.kernel.seed_resume`, the seed delta repair uses
+too) and resuming the sweep from the endpoints whose rows changed
 (:func:`~repro.engine.kernel.batch_reach_resume`) — instead of
 re-sweeping all ``Z`` worlds from ``s`` and ``t`` from scratch.  The
 greedy loop advances every pair's masks this way, so ``greedy_select``
@@ -129,6 +130,7 @@ from .kernel import (
     popcount,
     reach_each,
     sample_worlds,
+    seed_resume,
 )
 
 Pair = Tuple[int, int]
@@ -488,39 +490,17 @@ class SelectionGainKernel:
         """Resume a mask swept over ``plan`` (the extended plan, or its
         reverse view) after committing the arc ``tail -> head``.
 
-        ``reached[head] |= row & reached[tail]`` (and the swap for
-        undirected plans) is exactly the set of worlds the new edge
-        connects that weren't connected before; restarting the sweep
-        from the endpoints whose rows changed converges to the full
-        re-sweep's fixpoint because reachability is monotone
-        (:func:`~repro.engine.kernel.batch_reach_resume`).  No change
-        means the mask already is the fixpoint and the sweep is
+        :func:`~repro.engine.kernel.seed_resume` seeds exactly the
+        worlds the new edge connects that weren't connected before;
+        restarting the sweep from the rows it seeded converges to the
+        full re-sweep's fixpoint because reachability is monotone
+        (:func:`~repro.engine.kernel.batch_reach_resume`).  No seeded
+        row means the mask already is the fixpoint and the sweep is
         skipped entirely.
         """
-        if reached.shape[0] < plan.num_nodes:
-            # The winner introduced overlay-only endpoints: their rows
-            # start all-zero (unreachable until an edge connects them).
-            pad = np.zeros(
-                (plan.num_nodes - reached.shape[0], reached.shape[1]),
-                dtype=np.uint64,
-            )
-            reached = np.concatenate([reached, pad])
-        from_idx = plan.node_index(tail)
-        to_idx = plan.node_index(head)
-        if from_idx is None or to_idx is None:  # pragma: no cover
-            return reached
-        frontier: List[int] = []
-        new_to = row & reached[from_idx] & ~reached[to_idx]
-        if new_to.any():
-            reached[to_idx] |= new_to
-            frontier.append(to_idx)
-        if not plan.directed:
-            new_from = row & reached[to_idx] & ~reached[from_idx]
-            if new_from.any():
-                reached[from_idx] |= new_from
-                frontier.append(from_idx)
-        if frontier:
-            batch_reach_resume(plan, batch, reached, frontier)
+        reached, seeded = seed_resume(plan, reached, [(tail, head, row)])
+        if seeded:
+            batch_reach_resume(plan, batch, reached, seeded)
         return reached
 
     def _pair_masks(

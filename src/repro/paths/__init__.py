@@ -1,7 +1,6 @@
 """Path algorithms over uncertain graphs."""
 
 from .dijkstra import (
-    hop_shortest_path,
     most_reliable_path,
     path_probability,
     reliability_dijkstra_all,
@@ -15,7 +14,6 @@ from .layered import (
 from .maxflow import DinicMaxFlow, min_cut
 
 __all__ = [
-    "hop_shortest_path",
     "most_reliable_path",
     "path_probability",
     "reliability_dijkstra_all",

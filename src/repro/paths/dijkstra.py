@@ -138,38 +138,3 @@ def reliability_dijkstra_all(
                 dist[v] = nd
                 heappush(heap, (nd, v))
     return {node: math.exp(-d) for node, d in dist.items()}
-
-
-def hop_shortest_path(
-    graph: UncertainGraph,
-    source: int,
-    target: int,
-    extra_edges: Overlay = None,
-) -> Optional[Path]:
-    """Unweighted shortest path (BFS); used by the ESSSP baseline."""
-    if source == target:
-        return [source]
-    if source not in graph:
-        return None
-    overlay = build_overlay(graph, extra_edges)
-    parent: Dict[int, int] = {source: source}
-    frontier = [source]
-    while frontier:
-        next_frontier = []
-        for u in frontier:
-            neighbors = list(graph.successors(u))
-            if overlay and u in overlay:
-                neighbors.extend(v for v, _ in overlay[u])
-            for v in neighbors:
-                if v in parent:
-                    continue
-                parent[v] = u
-                if v == target:
-                    path = [v]
-                    while path[-1] != source:
-                        path.append(parent[path[-1]])
-                    path.reverse()
-                    return path
-                next_frontier.append(v)
-        frontier = next_frontier
-    return None

@@ -95,6 +95,10 @@ def top_l_most_reliable_paths(
             break
         weight, best = heappop(candidates)
         found.append((best, math.exp(-weight)))
+    # The first probability is exp of a Dijkstra -log sum and the rest
+    # exp(log(product)), so two equally reliable paths can come out one
+    # rounding step out of order; the stable sort moves only those.
+    found.sort(key=lambda item: item[1], reverse=True)
     return found
 
 

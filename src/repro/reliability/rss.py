@@ -16,7 +16,7 @@ the effect Tables 6 and 7 measure.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Dict, Iterable, List, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -237,10 +237,14 @@ class RecursiveStratifiedSampler(ReliabilityEstimator):
         budget: int,
         depth: int,
     ) -> float:
-        certain = self._region(adj, source, forced, lambda p: p >= 1.0)
+        certain = self._region(
+            adj, source, forced, lambda p: p >= 1.0, stop=target
+        )
         if target in certain:
             return 1.0
-        if target not in self._region(adj, source, forced, lambda p: p > 0.0):
+        if target not in self._region(
+            adj, source, forced, lambda p: p > 0.0, stop=target
+        ):
             return 0.0
         if depth >= self.max_depth or budget < self.mc_threshold:
             return self._monte_carlo(source, target, forced, max(budget, 1))
@@ -348,10 +352,14 @@ class RecursiveStratifiedSampler(ReliabilityEstimator):
         source: int,
         forced: Dict[EdgeKey, bool],
         unpinned: Callable[[float], bool],
+        stop: Optional[int] = None,
     ) -> Set[int]:
         """Nodes reached from ``source`` over edges pinned present or,
         unpinned, passing ``unpinned(p)``: ``p >= 1`` gives the certain
-        region, ``p > 0`` the region every undetermined edge could open."""
+        region, ``p > 0`` the region every undetermined edge could open.
+
+        The walk ends as soon as it reaches ``stop``, so a partial set
+        is returned only when it holds ``stop``."""
         seen = {source}
         frontier = deque([source])
         while frontier:
@@ -359,6 +367,8 @@ class RecursiveStratifiedSampler(ReliabilityEstimator):
             for v, p, key in adj.neighbors(u):
                 if v not in seen and forced.get(key, unpinned(p)):
                     seen.add(v)
+                    if v == stop:
+                        return seen
                     frontier.append(v)
         return seen
 

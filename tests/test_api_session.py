@@ -26,6 +26,23 @@ from repro.reliability import (
 from oracle import assert_close_to_exact
 
 
+def count_sweep_arc_words(monkeypatch):
+    """Total (arc, block) pairs times W gathered by the one fixpoint
+    loop (``kernel._sweep``), as a one-element list that fills in."""
+    import repro.engine.kernel as kernel_module
+
+    total = [0]
+    sweep = kernel_module._sweep
+
+    def counted(plan, batch, state, *args):
+        pairs = sweep(plan, batch, state, *args)
+        total[0] += pairs * state.shape[2]
+        return pairs
+
+    monkeypatch.setattr(kernel_module, "_sweep", counted)
+    return total
+
+
 @pytest.fixture
 def graph():
     g = erdos_renyi(50, num_edges=120, seed=7)
@@ -228,6 +245,19 @@ class TestSessionBatching:
             results = session.run(workload)
         assert all(not r.provenance.shared_worlds for r in results)
 
+    def test_two_source_pair_workload_sweep_budget(self, graph, monkeypatch):
+        """Work counter for the sweeps of a cold two-source pair
+        workload (the shape of one perfbench cold-query operation):
+        every (arc, source) pair the fused pass gathers, times W.  A
+        change that sweeps more of the graph for the same answers, or
+        stops fusing the two sources, moves this count."""
+        arc_words = count_sweep_arc_words(monkeypatch)
+        Session(graph, seed=6).run([
+            ReliabilityQuery(s, targets=(10, 20, 30, 40), samples=1000)
+            for s in (0, 5)
+        ])
+        assert arc_words == [72_576]  # 4,536 pairs at W = 16
+
     def test_timings_recorded_once_per_batch(self, graph):
         session = Session(graph, seed=1)
         first = session.reliability(0, target=10, samples=256)
@@ -371,10 +401,11 @@ class TestMaximizeThroughSession:
 
     def test_hc_query_coin_word_budget(self, monkeypatch):
         """Work counter for every keyed coin word one hill-climbing
-        ``mc`` query draws, and for every graph compile it runs, so a
-        return of a full resample (say, of the final evaluation) or of
-        a second compile (say, of a reversed graph copy for the into-t
-        elimination) fails here on any machine."""
+        ``mc`` query draws, for every graph compile it runs and for
+        every arc-word its sweeps gather, so a return of a full
+        resample (say, of the final evaluation), of a second compile
+        (say, of a reversed graph copy for the into-t elimination) or
+        of wasted sweep work fails here on any machine."""
         import repro.engine.batch as batch_module
         import repro.engine.csr as csr_module
         import repro.engine.kernel as kernel_module
@@ -389,6 +420,7 @@ class TestMaximizeThroughSession:
             return real_compile(graph)
 
         monkeypatch.setattr(csr_module, "_compile", counted_compile)
+        arc_words = count_sweep_arc_words(monkeypatch)
 
         def spy(module, name, site):
             real = getattr(module, name)
@@ -430,6 +462,9 @@ class TestMaximizeThroughSession:
             # The final evaluation adds only the chosen edges' rows.
             ("overlay", len(result.edges) * evaluate_w),
         ]
+        # Elimination, greedy rounds (masks and resumes) and the final
+        # evaluation, at W = 10 and 15.
+        assert arc_words == [40_130]
 
 
 class TestResults:

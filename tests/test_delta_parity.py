@@ -125,6 +125,31 @@ class TestEstimatorParity:
             _query_values(cold, 128, 17, estimator=estimator)
 
 
+class TestZeroProbabilityInsert:
+    """A p = 0 edge to a new node adds a node and no coin: cached reach
+    states must still grow a row for it.  (The hypothesis strategies
+    draw p >= 0.05, so the random suites never build this delta.)"""
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_query_naming_the_new_node_matches_cold(self, directed):
+        graph = UncertainGraph.from_edges(
+            [(0, 1, 0.8), (1, 2, 0.5), (0, 2, 0.3)], directed=directed
+        )
+        warm = Session(graph.copy(), seed=5)
+        _query_values(warm, 128, 17)  # caches the reach states of 0, 1, 2
+        report = warm.apply_delta(GraphDelta(upserts=((2, 9, 0.0),)))
+        assert report.strategy == "repair"
+        assert report.resumed_states == 3  # carried over, not dropped
+        cold = Session(warm.graph.copy(), seed=5)
+        queries = [
+            ReliabilityQuery(s, targets=(9, 2), samples=128, seed=17)
+            for s in (0, 2, 9)
+        ]
+        assert [r.pairs for r in warm.run(queries)] == [
+            r.pairs for r in cold.run(queries)
+        ]
+
+
 class TestStoreTierParity:
     """Repaired batches are rekeyed under the new content hash on disk."""
 

@@ -465,40 +465,70 @@ class TestOverlayAndEdgeCases:
         )
 
 
+def spy_sweeps(monkeypatch):
+    """Record every pass of the one fixpoint loop as ``(blocks, rows)``.
+
+    ``rows`` are the block-local rows the pass starts from: a
+    ``reach_each`` pass seeds one source per block, so its rows are the
+    pass's source group in order.
+    """
+    import repro.engine.kernel as kernel
+
+    passes = []
+    sweep = kernel._sweep
+
+    def spy(plan, batch, state, frontier_keys, target_index=None):
+        num_nodes = state.shape[1]
+        passes.append(
+            (state.shape[0], [int(key) % num_nodes for key in frontier_keys])
+        )
+        return sweep(plan, batch, state, frontier_keys, target_index)
+
+    monkeypatch.setattr(kernel, "_sweep", spy)
+    return passes
+
+
 class TestMultiSourceFusedSweep:
-    """batch_reach_multi: S independent BFS sweeps fused into one pass."""
+    """reach_each: S independent BFS sweeps, one block each, in one pass."""
 
     @pytest.mark.parametrize("z", [17, 64, 256, 1000])
-    def test_bitwise_parity_with_per_source_sweeps(self, medium_graph, z):
-        from repro.engine import batch_reach, batch_reach_multi, sample_worlds
+    def test_bitwise_parity_with_per_source_sweeps(
+        self, medium_graph, monkeypatch, z
+    ):
+        from repro.engine import batch_reach, reach_each, sample_worlds
 
         plan = compile_plan(medium_graph)
         batch = sample_worlds(plan, z, np.random.default_rng(5))
         sources = [0, 7, 13, 29]
-        fused = batch_reach_multi(plan, batch, sources)
-        assert fused.shape == (plan.num_nodes, len(sources), num_words(z))
-        for i, src in enumerate(sources):
-            single = batch_reach(plan, batch, [src])
-            assert np.array_equal(fused[:, i], single)
+        passes = spy_sweeps(monkeypatch)
+        fused = list(reach_each(plan, batch, sources))
+        assert passes == [(len(sources), sources)]  # one fused pass
+        for src, mask in zip(sources, fused, strict=True):
+            assert mask.shape == (plan.num_nodes, num_words(z))
+            assert np.array_equal(mask, batch_reach(plan, batch, [src]))
 
-    def test_empty_sources(self, medium_graph):
-        from repro.engine import batch_reach_multi, sample_worlds
+    def test_empty_sources(self, medium_graph, monkeypatch):
+        from repro.engine import reach_each, sample_worlds
 
         plan = compile_plan(medium_graph)
         batch = sample_worlds(plan, 64, np.random.default_rng(5))
-        assert batch_reach_multi(plan, batch, []).shape == (plan.num_nodes, 0, 1)
+        passes = spy_sweeps(monkeypatch)
+        assert list(reach_each(plan, batch, [])) == []
+        assert passes == []
 
     def test_edgeless_graph(self):
-        from repro.engine import batch_reach_multi, sample_worlds
+        from repro.engine import reach_each, sample_worlds
 
         g = UncertainGraph()
         for node in range(4):
             g.add_node(node)
         plan = compile_plan(g)
         batch = sample_worlds(plan, 64, np.random.default_rng(5))
-        reached = batch_reach_multi(plan, batch, [0, 2])
-        assert int(popcount(reached[0, 0]).sum()) == 64  # own source row
-        assert int(popcount(reached[1, 0]).sum()) == 0
+        first, second = reach_each(plan, batch, [0, 2])
+        assert int(popcount(first[0]).sum()) == 64  # own source row
+        assert int(popcount(first[1]).sum()) == 0
+        assert int(popcount(second[2]).sum()) == 64
+        assert int(popcount(second).sum()) == 64
 
     @pytest.mark.parametrize("z", [64, 256, 1024, 4096])
     @pytest.mark.parametrize("per_pass", [1, 2, None])
@@ -508,7 +538,7 @@ class TestMultiSourceFusedSweep:
         """reach_each yields each source's own batch_reach fixpoint, in
         source order, C-contiguous and unaliased, however the word
         budget splits the sources into passes: one per pass, two per
-        pass, or all in one fused pass (None), at W = 1 .. 64."""
+        pass, or all in one pass (None), at W = 1 .. 64."""
         import repro.engine.kernel as kernel
         from repro.engine import batch_reach, reach_each, sample_worlds
 
@@ -520,20 +550,13 @@ class TestMultiSourceFusedSweep:
             kernel, "_MULTI_SOURCE_WORD_BUDGET",
             per_pass * plan.num_nodes * batch.num_words,
         )
-        fused_passes = []
-        fused_sweep = kernel.batch_reach_multi
-
-        def spy(plan, batch, group):
-            fused_passes.append(list(group))
-            return fused_sweep(plan, batch, group)
-
-        monkeypatch.setattr(kernel, "batch_reach_multi", spy)
+        passes = spy_sweeps(monkeypatch)
         masks = list(reach_each(plan, batch, sources))
-        expected = [
+        groups = [
             sources[lo:lo + per_pass]
             for lo in range(0, len(sources), per_pass)
-        ] if per_pass > 1 else []
-        assert fused_passes == expected
+        ]
+        assert passes == [(len(group), group) for group in groups]
         assert len(masks) == len(sources)
         for src, mask in zip(sources, masks, strict=True):
             assert mask.shape == (plan.num_nodes, batch.num_words)
@@ -574,3 +597,70 @@ class TestMultiSourceFusedSweep:
         assert values[(0, 999)] == 0.0
         for pair, value in solo.items():
             assert values[pair] == value, (pair, per_pass)
+
+
+class TestOneSweepLoop:
+    """Every reachability fixpoint runs through the one loop,
+    ``kernel._sweep``: the public sweeps, the answer functions built
+    on them, greedy rounds (round-0 masks and incremental resumes) and
+    a session's delta repair."""
+
+    @staticmethod
+    def _prepare(entry, graph):
+        """``(run, passes)``: a thunk over warmed-up state, and the
+        fewest loop passes it must make."""
+        from repro.api import GraphDelta
+        from repro.engine import (
+            SelectionGainKernel,
+            batch_reach,
+            batch_reach_resume,
+            pair_fraction,
+            pair_hit_fractions,
+            reach_each,
+            reach_frequencies,
+            sample_worlds,
+        )
+
+        plan = compile_plan(graph)
+        batch = sample_worlds(plan, 128, np.random.default_rng(2))
+        if entry == "batch_reach_resume":
+            state = np.zeros((plan.num_nodes, batch.num_words), np.uint64)
+            state[0] = batch.valid
+            return lambda: batch_reach_resume(plan, batch, state, [0]), 1
+        if entry == "greedy_rounds":
+            selector = SelectionGainKernel(graph, 128, seed=3)
+            # Two certain candidates: committing the first one seeds
+            # rows, so round 1 resumes on top of round 0's two masks.
+            pool = [(0, 29, 1.0), (3, 20, 1.0)]
+            return lambda: selector.greedy_select(0, 29, 2, pool), 3
+        if entry == "delta_repair":
+            session = Session(graph.copy(), seed=4, estimator="mc")
+            session.reliability(0, 29, samples=128)  # caches 0's fixpoint
+            u, v, _p = next(
+                edge for edge in session.graph.edges() if edge[2] < 0.9
+            )
+            delta = GraphDelta(upserts=((u, v, 1.0),))
+            return lambda: session.apply_delta(delta), 1
+        run = {
+            "batch_reach": lambda: batch_reach(plan, batch, [0, 5]),
+            "reach_each": lambda: list(reach_each(plan, batch, [0, 5])),
+            "pair_fraction": lambda: pair_fraction(plan, batch, 0, 29),
+            "reach_frequencies": lambda: reach_frequencies(plan, batch, [0]),
+            "pair_hit_fractions": lambda: pair_hit_fractions(
+                plan, batch, [(0, 29), (5, 9)], 128
+            ),
+        }[entry]
+        return run, 1
+
+    @pytest.mark.parametrize("entry", [
+        "batch_reach", "batch_reach_resume", "reach_each", "pair_fraction",
+        "reach_frequencies", "pair_hit_fractions", "greedy_rounds",
+        "delta_repair",
+    ])
+    def test_entry_point_sweeps_through_the_one_loop(
+        self, medium_graph, monkeypatch, entry
+    ):
+        run, fewest = self._prepare(entry, medium_graph)
+        passes = spy_sweeps(monkeypatch)
+        run()
+        assert len(passes) >= fewest, passes

@@ -8,7 +8,6 @@ from repro.graph import UncertainGraph
 from repro.paths import (
     best_improvement,
     constrained_most_reliable_paths,
-    hop_shortest_path,
     most_reliable_path,
     path_probability,
     paths_induced_edges,
@@ -112,19 +111,18 @@ class TestReliabilityDijkstraAll:
         assert reliability_dijkstra_all(diamond, 77) == {}
 
 
-class TestHopShortestPath:
-    def test_bfs_path(self, diamond):
-        path = hop_shortest_path(diamond, 0, 3)
-        assert len(path) == 3  # either branch of the diamond
-
-    def test_unreachable(self):
-        g = UncertainGraph()
-        g.add_edge(0, 1, 0.5)
-        g.add_node(4)
-        assert hop_shortest_path(g, 0, 4) is None
-
-
 class TestTopLPaths:
+    def test_equally_reliable_paths_come_most_reliable_first(self):
+        """Both paths have reliability 0.0224, but the first is found by
+        Dijkstra (exp of a -log sum) and the second through a product,
+        one rounding step higher; the list must still be non-increasing."""
+        g = UncertainGraph.from_edges(
+            [(0, 1, 0.16), (1, 3, 0.14), (0, 2, 0.08), (2, 3, 0.28)]
+        )
+        probs = [pr for _, pr in top_l_most_reliable_paths(g, 0, 3, 8)]
+        assert probs == sorted(probs, reverse=True)
+        assert probs == pytest.approx([0.0224, 0.0224])
+
     def test_diamond_both_paths(self, diamond):
         paths = top_l_most_reliable_paths(diamond, 0, 3, 5)
         assert [p for p, _ in paths] == [[0, 2, 3], [0, 1, 3]]

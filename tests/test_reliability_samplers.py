@@ -171,6 +171,35 @@ class TestRssSpecifics:
         # RSS's stratification should not inflate the error materially.
         assert rss_err <= mc_err * 1.5
 
+    @pytest.mark.parametrize("p", [1.0, 0.5])
+    def test_region_walks_stop_at_the_target(self, monkeypatch, p):
+        """The target is one hop from the source and a long tail hangs
+        off the source.  With a certain hop the certain-region walk ends
+        at the target (the answer is 1.0); with an uncertain one the
+        potential-region walk does, before the MC leaf (a threshold
+        above the budget sends the query straight there).  Neither walk
+        may visit the tail."""
+        from repro.reliability import rss
+
+        yields = []
+        neighbors = rss._Adjacency.neighbors
+
+        def counted(adj, u):
+            for item in neighbors(adj, u):
+                yields.append(u)
+                yield item
+
+        monkeypatch.setattr(rss._Adjacency, "neighbors", counted)
+        graph = UncertainGraph.from_edges(
+            [(0, 1, p), (0, 2, p)] + [(i, i + 1, p) for i in range(2, 60)]
+        )
+        value = RecursiveStratifiedSampler(
+            100, mc_threshold=1000, seed=3
+        ).reliability(graph, 0, 1)
+        assert (value == 1.0) == (p == 1.0)
+        assert set(yields) == {0}  # only the source's own arcs
+        assert len(yields) <= 3
+
     def test_rss_parameter_validation(self):
         with pytest.raises(ValueError):
             RecursiveStratifiedSampler(num_samples=100, num_stratify_edges=0)

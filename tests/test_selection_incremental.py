@@ -88,6 +88,33 @@ class TestResume:
         )
         assert np.array_equal(resumed, full)
 
+    @pytest.mark.parametrize("layout", ["column_slice", "fortran"])
+    def test_resume_non_contiguous_state_in_place_or_raises(self, layout):
+        """The resume writes through to the caller's array whatever its
+        layout; a layout it could not sweep in place must raise, never
+        leave the caller holding a stale state."""
+        graph = build_graph(True, seed=9)
+        plan = compile_plan(graph)
+        batch = sample_worlds(plan, Z, np.random.default_rng(3))
+        full = batch_reach(plan, batch, [0])
+        seed = np.zeros_like(full)
+        seed[0] = batch.valid
+        if layout == "column_slice":
+            wide = np.zeros((plan.num_nodes, 2 * batch.num_words), np.uint64)
+            wide[:, :batch.num_words] = seed
+            reached = wide[:, :batch.num_words]
+        else:
+            reached = np.asfortranarray(seed)
+        assert not reached.flags["C_CONTIGUOUS"]
+        try:
+            returned = batch_reach_resume(plan, batch, reached, [0])
+        except (AttributeError, ValueError):
+            return  # refused to sweep a copy
+        assert returned is reached
+        assert np.array_equal(reached, full)
+        if layout == "column_slice":
+            assert not wide[:, batch.num_words:].any()
+
     def test_resume_rejects_unpadded_state(self):
         graph = build_graph(False)
         plan = compile_plan(graph)
@@ -176,28 +203,29 @@ class TestIncrementalMasks:
         n = graph.num_nodes
         pairs = [(0, n - 1), (1, n - 2)]
         pool = candidate_pool(n)
-        fused_passes = []
-        fused_sweep = kernel.batch_reach_multi
+        blocks = []  # blocks per pass of the one fixpoint loop
+        sweep = kernel._sweep
 
-        def spy(*args):
-            fused_passes.append(args[2])
-            return fused_sweep(*args)
+        def spy(plan, batch, state, *args):
+            blocks.append(state.shape[0])
+            return sweep(plan, batch, state, *args)
 
-        monkeypatch.setattr(kernel, "batch_reach_multi", spy)
+        monkeypatch.setattr(kernel, "_sweep", spy)
         fused = SelectionGainKernel(graph, Z, seed=SEED).greedy_select_multi(
             pairs, 2, pool
         )
-        # Forward and reverse masks each fuse their two endpoints.
-        assert [len(group) for group in fused_passes] == [2, 2]
+        # Forward and reverse masks each fuse their two endpoints; the
+        # round-1 resumes then sweep one mask at a time.
+        assert blocks[:2] == [2, 2]
+        assert set(blocks[2:]) <= {1}
         # A one-word budget leaves room for one source per pass.
+        blocks.clear()
         monkeypatch.setattr(kernel, "_MULTI_SOURCE_WORD_BUDGET", 1)
-        monkeypatch.setattr(
-            kernel, "batch_reach_multi",
-            lambda *a, **kw: pytest.fail("fused sweep at a one-source budget"),
-        )
         per_source = SelectionGainKernel(graph, Z, seed=SEED).greedy_select_multi(
             pairs, 2, pool
         )
+        assert blocks[:4] == [1, 1, 1, 1]
+        assert set(blocks) == {1}
         assert fused == per_source
 
     def test_multi_interns_pair_endpoint_via_winner(self):
