@@ -34,10 +34,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.api import Session, Workload  # noqa: E402
+from repro.engine import csr  # noqa: E402
 from repro.graph import assign_uniform, erdos_renyi  # noqa: E402
 from repro.reliability import MonteCarloEstimator  # noqa: E402
-
-CSR_CACHE_ATTR = "_engine_csr_cache"
 
 
 def build_graph(num_nodes: int, num_edges: int, seed: int = 0):
@@ -71,8 +70,7 @@ def time_cold_estimator(graph, pairs, samples: int, seed: int):
     values = []
     start = time.perf_counter()
     for s, t in pairs:
-        if hasattr(graph, CSR_CACHE_ATTR):
-            delattr(graph, CSR_CACHE_ATTR)  # a cold process compiles anew
+        csr._PLANS.pop(graph, None)  # a cold process compiles anew
         estimator = MonteCarloEstimator(samples, seed=seed)
         values.append(estimator.reliability(graph, s, t))
     return time.perf_counter() - start, values
@@ -80,8 +78,7 @@ def time_cold_estimator(graph, pairs, samples: int, seed: int):
 
 def time_session(graph, pairs, samples: int, seed: int):
     """One session, one workload: compile once, sample worlds once."""
-    if hasattr(graph, CSR_CACHE_ATTR):
-        delattr(graph, CSR_CACHE_ATTR)  # session starts cold too
+    csr._PLANS.pop(graph, None)  # session starts cold too
     start = time.perf_counter()
     session = Session(graph, seed=seed)
     results = session.run(Workload.reliability(pairs, samples=samples, seed=seed))

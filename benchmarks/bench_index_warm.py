@@ -37,10 +37,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.api import ReliabilityQuery, Session, Workload  # noqa: E402
+from repro.engine import csr  # noqa: E402
 from repro.graph import assign_uniform, erdos_renyi  # noqa: E402
 from repro.index import IndexStore  # noqa: E402
-
-CSR_CACHE_ATTR = "_engine_csr_cache"
 
 
 def build_graph(num_nodes: int, num_edges: int, seed: int = 0):
@@ -50,8 +49,7 @@ def build_graph(num_nodes: int, num_edges: int, seed: int = 0):
 
 def drop_csr_cache(graph) -> None:
     """Make the next compile cold, as a fresh process would be."""
-    if hasattr(graph, CSR_CACHE_ATTR):
-        delattr(graph, CSR_CACHE_ATTR)
+    csr._PLANS.pop(graph, None)
 
 
 def build_workload(graph, num_queries: int, samples: int) -> Workload:

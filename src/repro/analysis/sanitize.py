@@ -19,7 +19,8 @@ Three guard families:
   worker thread; the hand-off is explicit via :meth:`ThreadAffinity.rebind`.
 * :func:`check_probabilities` — kernel entry points assert their
   probability arrays are finite and inside ``[0, 1]`` before any coin
-  is flipped.
+  is flipped, and the path layer asserts an overlay's before it turns
+  them into ``-log p`` weights.
 * :func:`freeze` — marks an array read-only so in-place mutation of a
   shared world batch fails fast instead of corrupting every query that
   shares it.  (The session's cache tiers freeze unconditionally; this
@@ -129,14 +130,10 @@ def check_probabilities(probs: Any, label: str = "probs") -> None:
     if values.size == 0:
         return
     if not bool(np.all(np.isfinite(values))):
-        raise SanitizerError(
-            f"{label}: non-finite probability (NaN/inf) reached the "
-            f"sampling kernel"
-        )
+        raise SanitizerError(f"{label}: non-finite probability (NaN/inf)")
     low = float(values.min())
     high = float(values.max())
     if low < 0.0 or high > 1.0:
         raise SanitizerError(
-            f"{label}: probability outside [0, 1] reached the sampling "
-            f"kernel (min={low!r}, max={high!r})"
+            f"{label}: probability outside [0, 1] (min={low!r}, max={high!r})"
         )

@@ -5,7 +5,7 @@ directly.  Instead it compiles the graph once into flat numpy arrays —
 one canonical *edge* table (probabilities, one coin per edge) and one
 *arc* table (directed traversal entries, two per undirected edge) sorted
 by destination so a whole BFS sweep is a gather + ``bitwise_or.reduceat``
-scatter.  The compilation is cached on the graph instance and keyed on
+scatter.  The compilation is cached per graph and keyed on
 :attr:`UncertainGraph.version`, so selection loops that evaluate
 thousands of candidate overlays against the same base graph compile
 exactly once.
@@ -28,8 +28,6 @@ from ..graph import UncertainGraph
 ProbEdge = Tuple[int, int, float]
 EdgeKey = Tuple[int, int]
 
-_CACHE_ATTR = "_engine_csr_cache"
-
 
 class QueryPlan:
     """Flat arrays the batch kernel consumes.
@@ -44,9 +42,6 @@ class QueryPlan:
     arc_src / arc_eid:
         ``(num_arcs,)`` — source node index and edge id of every
         traversal arc, **sorted by destination index**.
-    dst_unique / dst_starts:
-        Unique destination indices and the start offset of each
-        destination's contiguous arc segment (``reduceat`` boundaries).
     node_ids / index_of:
         Bidirectional node id <-> dense index mapping.
     edge_index:
@@ -75,8 +70,6 @@ class QueryPlan:
         "arc_src",
         "arc_dst",
         "arc_eid",
-        "dst_unique",
-        "dst_starts",
         "node_ids",
         "index_of",
         "edge_index",
@@ -123,32 +116,11 @@ class QueryPlan:
             self.arc_dst = np.ascontiguousarray(arc_dst[order])
             self.arc_src = np.ascontiguousarray(arc_src[order])
             self.arc_eid = np.ascontiguousarray(arc_eid[order])
-        arc_dst = self.arc_dst
-        if arc_dst.size:
-            self.dst_unique, self.dst_starts = np.unique(
-                arc_dst, return_index=True
-            )
-        else:
-            self.dst_unique = np.empty(0, dtype=np.int64)
-            self.dst_starts = np.empty(0, dtype=np.int64)
         self.edge_u = edge_u
         self.edge_v = edge_v
         self.edge_ordinal = edge_ordinal
         self._reverse: Optional["QueryPlan"] = None
         self._forward: Optional["weakref.ref[QueryPlan]"] = None
-
-    def __getstate__(self) -> Dict[str, object]:
-        # The reverse-view cache holds a weak reference, which cannot be
-        # pickled; it is rebuilt on demand, so pickles leave it out.
-        return {
-            name: getattr(self, name) for name in self.__slots__
-            if name not in ("_reverse", "_forward", "__weakref__")
-        }
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        for name, value in state.items():
-            setattr(self, name, value)
-        self._reverse = self._forward = None
 
     def node_index(self, node: int) -> Optional[int]:
         """Dense index of ``node`` or ``None`` when absent."""
@@ -264,19 +236,29 @@ def _compile(graph: UncertainGraph) -> QueryPlan:
     )
 
 
+#: ``graph -> (version, plan)``.  Weakly keyed, so a plan lives as long
+#: as its graph, and nothing is stored on the graph: a pickled graph
+#: (the shard pool's swaps and respawns) carries no plan, and its copy
+#: compiles its own on first use.  A plan holds no reference to its
+#: graph, which would keep both alive.
+_PLANS: "weakref.WeakKeyDictionary[UncertainGraph, Tuple[int, QueryPlan]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
 def compile_plan(graph: UncertainGraph) -> QueryPlan:
     """Compiled base plan for ``graph``, cached per graph version.
 
-    The cache lives on the graph instance (``graph._engine_csr_cache``)
-    and is invalidated by :attr:`UncertainGraph.version`, which bumps on
-    every mutation.  Holding a returned plan across graph mutations is
-    safe — plans are immutable snapshots.
+    The cache (:data:`_PLANS`) is invalidated by
+    :attr:`UncertainGraph.version`, which bumps on every mutation.
+    Holding a returned plan across graph mutations is safe — plans are
+    immutable snapshots.
     """
-    cached = getattr(graph, _CACHE_ATTR, None)
+    cached = _PLANS.get(graph)
     if cached is not None and cached[0] == graph.version:
         return cached[1]
     plan = _compile(graph)
-    setattr(graph, _CACHE_ATTR, (graph.version, plan))
+    _PLANS[graph] = (graph.version, plan)
     return plan
 
 

@@ -5,7 +5,7 @@ from .dijkstra import (
     path_probability,
     reliability_dijkstra_all,
 )
-from .yen import paths_induced_edges, top_l_most_reliable_paths
+from .yen import top_l_most_reliable_paths
 from .layered import (
     ConstrainedPath,
     best_improvement,
@@ -17,7 +17,6 @@ __all__ = [
     "most_reliable_path",
     "path_probability",
     "reliability_dijkstra_all",
-    "paths_induced_edges",
     "top_l_most_reliable_paths",
     "ConstrainedPath",
     "best_improvement",

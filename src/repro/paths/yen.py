@@ -6,17 +6,23 @@ algorithm allows non-simple paths; for reliability only *simple* paths
 matter (revisiting a node never raises the product), so we use Yen's
 k-shortest *simple* paths on the ``-log p`` weighting — the standard
 choice in the uncertain-graph literature the paper builds on [20]-[22].
+
+Every search of one call shares its ``-log p`` rows, and every spur
+search is guided by one reverse search from the target
+(:class:`~repro.paths.dijkstra._Guide`), which skips only work off the
+shortest spur paths: the paths, probabilities and tie-breaks are those
+of unguided spur searches.
 """
 
 from __future__ import annotations
 
 import math
 from heapq import heappop, heappush
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..graph import UncertainGraph
 from ..reliability.estimator import Overlay
-from .dijkstra import most_reliable_path, path_probability
+from .dijkstra import _best_path, _Guide, _Rows, path_probability
 
 Path = List[int]
 
@@ -48,10 +54,9 @@ def top_l_most_reliable_paths(
     """
     if l < 1:
         raise ValueError("l must be positive")
-    extra = list(extra_edges) if extra_edges else None
-    extra_probs = _overlay_probs(graph, extra)
+    rows = _Rows.for_call(graph, extra_edges)
 
-    first_path, first_prob = most_reliable_path(graph, source, target, extra)
+    first_path, first_prob = _best_path(rows, source, target)
     if first_path is None or first_prob <= 0.0:
         return []
 
@@ -59,6 +64,10 @@ def top_l_most_reliable_paths(
     # Candidate heap entries: (weight, path); weight = -log prob.
     candidates: List[Tuple[float, Path]] = []
     seen_candidates: Set[Tuple[int, ...]] = {tuple(first_path)}
+    # One reverse search from the target bounds every spur search of
+    # the call; l = 1 runs no spur search, so it builds none.
+    guide = _Guide(rows, target) if l > 1 else None
+    extra_probs: Optional[Dict[Tuple[int, int], float]] = None
 
     while len(found) < l:
         prev_path = found[-1][0]
@@ -72,13 +81,8 @@ def top_l_most_reliable_paths(
                     if not graph.directed:
                         banned_edges.add((path[i + 1], path[i]))
             banned_nodes = set(root[:-1])
-            spur_path, spur_prob = most_reliable_path(
-                graph,
-                spur_node,
-                target,
-                extra,
-                forbidden_nodes=banned_nodes,
-                forbidden_edges=banned_edges,
+            spur_path, spur_prob = _best_path(
+                rows, spur_node, target, banned_nodes, banned_edges, guide
             )
             if spur_path is None or spur_prob <= 0.0:
                 continue
@@ -87,6 +91,8 @@ def top_l_most_reliable_paths(
             if key in seen_candidates:
                 continue
             seen_candidates.add(key)
+            if extra_probs is None:
+                extra_probs = _overlay_probs(graph, rows.extra)
             prob = path_probability(graph, total_path, extra_probs)
             if prob <= 0.0:
                 continue
@@ -100,18 +106,3 @@ def top_l_most_reliable_paths(
     # rounding step out of order; the stable sort moves only those.
     found.sort(key=lambda item: item[1], reverse=True)
     return found
-
-
-def paths_induced_edges(
-    graph: UncertainGraph,
-    paths: Sequence[Path],
-) -> Set[Tuple[int, int]]:
-    """Edge set (canonical orientation) induced by a collection of paths."""
-    edges: Set[Tuple[int, int]] = set()
-    for path in paths:
-        for u, v in zip(path, path[1:], strict=False):
-            if not graph.directed and v < u:
-                edges.add((v, u))
-            else:
-                edges.add((u, v))
-    return edges

@@ -1,9 +1,10 @@
 """Shared hypothesis strategies for the test suite.
 
 One home for the generators every property-based suite draws from, so
-``test_properties.py``, ``test_bounds_maxflow.py`` and
-``test_delta_parity.py`` exercise the *same* distribution of graphs —
-a shrunk counterexample from one suite reproduces in the others.
+``test_properties.py``, ``test_bounds_maxflow.py``,
+``test_delta_parity.py`` and ``test_paths.py`` exercise the *same*
+distribution of graphs — a shrunk counterexample from one suite
+reproduces in the others.
 
 ``conftest.py`` re-exports :func:`small_uncertain_graphs` for backward
 compatibility with older imports.
@@ -20,6 +21,14 @@ from repro.graph import UncertainGraph
 
 #: Edit-op token: ``("upsert", u, v, p)`` or ``("delete", u, v, 0.0)``.
 EditOp = Tuple[str, int, int, float]
+
+#: ``(graph, overlay, source, target)`` for path-layer properties.
+PathInputs = Tuple[UncertainGraph, List[Tuple[int, int, float]], int, int]
+
+#: Few distinct probabilities, so many paths share one ``-log`` weight
+#: (1/8 = (1/2)^3, 1/4 = (1/2)^2) and equally reliable paths are common;
+#: 0 is an edge no search may take, 1 a free hop.
+TIE_PRONE_PROBABILITIES = (0.0, 0.125, 0.25, 0.5, 0.9, 1.0)
 
 
 def edge_probabilities(min_value: float = 0.05) -> st.SearchStrategy[float]:
@@ -114,3 +123,42 @@ def batch_shapes(
         st.integers(min_value=min_samples, max_value=max_samples),
         st.integers(min_value=0, max_value=2**31 - 1),
     )
+
+
+def tie_prone_path_inputs(max_nodes: int = 7) -> st.SearchStrategy[PathInputs]:
+    """Graphs, overlays and query pairs where path ties are common.
+
+    Directed or undirected; every probability comes from
+    :data:`TIE_PRONE_PROBABILITIES`.  The overlay may name node
+    ``n``, which only the overlay knows, may repeat a graph edge with
+    another probability, and may carry ``p = 0`` edges.  The target
+    differs from the source and may be the overlay-only node.
+    """
+
+    @st.composite
+    def build(draw) -> PathInputs:
+        n = draw(st.integers(min_value=3, max_value=max_nodes))
+        directed = draw(st.booleans())
+        prob = st.sampled_from(TIE_PRONE_PROBABILITIES)
+        graph = UncertainGraph(directed=directed)
+        for u in range(n):
+            graph.add_node(u)
+        node = st.integers(min_value=0, max_value=n - 1)
+        for _ in range(draw(st.integers(min_value=n - 1, max_value=3 * n))):
+            u, v = draw(node), draw(node)
+            if u != v:
+                graph.add_edge(u, v, draw(prob))
+        any_node = st.integers(min_value=0, max_value=n)  # n: overlay-only
+        overlay = []
+        for _ in range(draw(st.integers(min_value=0, max_value=n))):
+            u, v = draw(any_node), draw(any_node)
+            if u != v:
+                overlay.append((u, v, draw(prob)))
+        edges = sorted(graph.edges())
+        if edges and draw(st.booleans()):
+            u, v, _ = draw(st.sampled_from(edges))
+            overlay.append((u, v, draw(prob)))
+        source = draw(node)
+        return graph, overlay, source, draw(any_node.filter(lambda v: v != source))
+
+    return build()

@@ -1,5 +1,5 @@
 """Runtime sanitizer tests: switches, thread affinity, frozen batches,
-kernel probability asserts.
+kernel and path-layer probability asserts.
 
 Covers the dynamic half of the invariant tooling: the checks only fire
 when the sanitizer is on, sessions/stores bind to their first calling
@@ -18,6 +18,11 @@ from repro.api import ReliabilityQuery, Session, Workload
 from repro.engine import batch_from_words, compile_plan, sample_worlds
 from repro.graph import UncertainGraph
 from repro.index import IndexStore
+from repro.paths import (
+    most_reliable_path,
+    reliability_dijkstra_all,
+    top_l_most_reliable_paths,
+)
 from repro.reliability import BFSSharingIndex
 
 
@@ -268,6 +273,40 @@ def test_bfs_sharing_overlay_asserts_p_when_enabled(sanitizer_on, p):
     index = BFSSharingIndex(graph, 64, seed=0)
     with pytest.raises(SanitizerError, match="overlay"):
         index.reliability(graph, 0, 2, [(0, 2, p)])
+
+
+@pytest.mark.parametrize("p", [1.5, -0.5, float("nan")],
+                         ids=["above-one", "negative", "nan"])
+@pytest.mark.parametrize("call", [
+    lambda g, extra: most_reliable_path(g, 0, 2, extra),
+    lambda g, extra: top_l_most_reliable_paths(g, 0, 2, 3, extra),
+    lambda g, extra: reliability_dijkstra_all(g, 0, extra, reverse=True),
+], ids=["most_reliable_path", "top_l", "dijkstra_all"])
+def test_path_overlay_asserts_p_when_enabled(sanitizer_on, call, p):
+    # A p > 1 overlay edge is a negative -log weight: unchecked,
+    # most_reliable_path(g, 0, 2, [(0, 2, 1.5)]) returns ([0, 2], 1.5).
+    graph = UncertainGraph.from_edges([(0, 1, 0.5), (1, 2, 0.5)], directed=True)
+    with pytest.raises(SanitizerError, match="paths: overlay probs"):
+        call(graph, [(1, 2, 0.9), (0, 2, p)])
+
+
+def test_path_overlay_checked_once_per_call(sanitizer_on, monkeypatch):
+    """Yen's spur searches and its reverse search share one call's
+    rows, so the overlay is scanned once, not once per search."""
+    labels = []
+    real = sanitize.check_probabilities
+
+    def spy(probs, label="probs"):
+        labels.append(label)
+        return real(probs, label)
+
+    monkeypatch.setattr(sanitize, "check_probabilities", spy)
+    graph = UncertainGraph.from_edges(
+        [(0, 1, 0.5), (1, 2, 0.5), (0, 3, 0.4), (3, 2, 0.4)], directed=True
+    )
+    paths = top_l_most_reliable_paths(graph, 0, 2, 5, [(1, 3, 0.9), (0, 2, 0.1)])
+    assert len(paths) == 4
+    assert labels == ["paths: overlay probs"]
 
 
 def test_kernel_accepts_clean_probs_when_enabled(sanitizer_on):

@@ -272,12 +272,16 @@ class TestReversePlan:
             gc.enable()
 
     def test_graph_with_cached_view_pickles(self, directed_diamond):
-        """A pickled graph carries its cached plan; the view's weak
-        back-reference stays out of the pickle and is rebuilt."""
+        """A pickled graph leaves its cached plan (and the plan's reverse
+        view) out, so it pickles to the same bytes as before it was
+        compiled; the copy compiles an equal plan on first use."""
+        uncompiled = pickle.dumps(directed_diamond)
         plan = compile_plan(directed_diamond)
         view = plan.reverse_view()
-        graph = pickle.loads(pickle.dumps(directed_diamond))
+        assert pickle.dumps(directed_diamond) == uncompiled
+        graph = pickle.loads(uncompiled)
         copy = compile_plan(graph)
+        assert copy is not plan
         assert copy.reverse_view().reverse_view() is copy
         for name in ("arc_src", "arc_dst", "arc_eid", "probs", "edge_u"):
             assert np.array_equal(getattr(copy, name), getattr(plan, name))
