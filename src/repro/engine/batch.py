@@ -5,7 +5,8 @@ Every registry estimator (``mc``/``lazy``, the Monte Carlo leaves of
 :class:`numpy.random.Generator` and calls the module functions here:
 
 * :func:`sample` draws one batch of worlds over a plan, optionally with
-  edge states pinned (the stratified sampler's conditioning);
+  edge states pinned (the stratified sampler's conditioning; ``rss``
+  draws each of its leaves here, then sweeps them all at once);
 * the answer functions reduce a *given* ``(plan, batch)``:
   :func:`pair_fraction` (one pair), :func:`reach_frequencies` (every
   node's frequency of being reached from a source set) and

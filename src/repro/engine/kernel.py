@@ -21,7 +21,7 @@ which keeps every popcount exact without masking.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -36,10 +36,12 @@ WORD_BITS = 64
 #: this many elements (the counter matrix the mixer rewrites in place
 #: and its shift scratch, 512 KiB each) plus a 64 KiB bool compare
 #: matrix: about 1.1 MiB, inside a 2 MiB per-core L2.  On as-topology
-#: (m=3994) at Z=1000-16384 (2-core Xeon, numpy 2.4) this runs at
-#: 3.3-4.1 ns/coin, against 4.1-4.7 for 16k- or 128k-coin blocks and
-#: 10-13 ns/coin for 4M-coin blocks, whose 32 MB temporaries spill out
-#: of L2.
+#: (m=3994, 2-core Xeon, numpy 2.4) sampling runs at 3.4 / 2.3 / 2.2
+#: ns/coin at Z = 1000 / 4096 / 16384 (best of 15 per process, 5
+#: processes).  The size was chosen when the body ran the whole
+#: finalizer: 3.3-4.1 ns/coin then, against 4.1-4.7 for 16k- or
+#: 128k-coin blocks and 10-13 for 4M-coin blocks, whose 32 MB
+#: temporaries spill out of L2.
 _COIN_BLOCK = 1 << 16
 
 # SplitMix64 finalizer constants (Steele et al., "Fast splittable
@@ -60,22 +62,30 @@ _COIN_SHIFT = np.uint64(64 - 24)
 _COIN_SCALE = float(1 << 24)
 
 
-def _mix64(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer over a uint64 array, in place.
+def _mix_high(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer up to its last xorshift, in place.
 
-    ``scratch`` is a same-shape uint64 buffer for the shifted operand.
-    Array (not scalar) arithmetic throughout: numpy wraps unsigned
-    array overflow silently, which is exactly the mod-2^64 semantics
-    the mixer wants.  Outputs are passed positionally: on the tiny
-    arrays of single-row re-flips, ``out=`` keyword parsing costs more
-    than the arithmetic.
+    That last step, ``x ^= x >> 31``, rewrites only bits 0-32, so the
+    top 24 bits a coin reads are already final here: the coin body
+    stops at this point.  ``scratch`` is a same-shape uint64 buffer for
+    the shifted operand.  Array (not scalar) arithmetic throughout:
+    numpy wraps unsigned array overflow silently, which is exactly the
+    mod-2^64 semantics the mixer wants.  Outputs are passed
+    positionally: on the tiny arrays of single-row re-flips, ``out=``
+    keyword parsing costs more than the arithmetic.
     """
     np.right_shift(x, _SHIFT30, scratch)
     np.bitwise_xor(x, scratch, x)
     np.multiply(x, _MIX_M1, x)
     np.right_shift(x, _SHIFT27, scratch)
     np.bitwise_xor(x, scratch, x)
-    np.multiply(x, _MIX_M2, x)
+    return np.multiply(x, _MIX_M2, x)
+
+
+def _mix64(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """The whole SplitMix64 finalizer, in place: edge keys need all 64
+    bits, so :func:`_edge_keys` mixes with it."""
+    _mix_high(x, scratch)
     np.right_shift(x, _SHIFT31, scratch)
     return np.bitwise_xor(x, scratch, x)
 
@@ -133,48 +143,75 @@ def _coin_thresholds(probs: ArrayLike) -> np.ndarray:
     return np.where(p > 0.0, scaled, 0.0).astype(np.uint64)
 
 
+def _coin_limits(thresholds: np.ndarray) -> np.ndarray:
+    """Inclusive limits on the mixed word: coin ``x >> 40 < t`` iff
+    ``x <= (t << 40) - 1``.
+
+    Exact for every integer ``t`` from 1 to ``2^24``; ``t = 2^24`` gives
+    ``2^64 - 1``, always heads.  ``t = 0`` wraps to the same all-heads
+    limit, so the rows of never-present edges are zeroed after packing
+    (:func:`_keyed_coin_blocks`).
+    """
+    return np.left_shift(thresholds, _COIN_SHIFT) - _ONE64
+
+
 def _keyed_coin_bits(
     keys: np.ndarray,
-    thresholds: np.ndarray,
+    limits: np.ndarray,
     sample_term: np.ndarray,
     counters: np.ndarray,
     scratch: np.ndarray,
     heads: np.ndarray,
 ) -> np.ndarray:
-    """Packed ``(rows, W)`` coin words for one block of keyed rows.
+    """The coin body: ``(rows, len(sample_term))`` heads for one block.
 
     Coin ``j`` of a row is the top 24 bits of
-    ``mix64(key + GAMMA * (j + 1))`` (``sample_term[j]`` holds
-    ``GAMMA * (j + 1)``), heads below the row's threshold.  Because the
-    coin values are fixed by ``(key, j)`` and only the threshold moves,
-    raising an edge's probability turns bits on without ever turning
-    one off — the nesting that makes monotone delta repair exact.
+    ``mix64(key + GAMMA * (j + 1))`` (``sample_term`` holds
+    ``GAMMA * (j + 1)`` for the coins drawn), heads below the row's
+    threshold.  The mix stops before its last xorshift, which leaves
+    those bits alone, and the compare against :func:`_coin_limits`
+    replaces the shift down to 24 bits.  Because the coin values are
+    fixed by ``(key, j)`` and only the threshold moves, raising an
+    edge's probability turns bits on without ever turning one off —
+    the nesting that makes monotone delta repair exact.
     ``counters`` / ``scratch`` / ``heads`` are block-sized buffers,
     reused across blocks so the block never leaves cache.
     """
     np.add(keys[:, None], sample_term, out=counters)
-    _mix64(counters, scratch)
-    np.right_shift(counters, _COIN_SHIFT, out=counters)
-    np.less(counters, thresholds[:, None], out=heads)
-    return pack_bool_matrix(heads, heads.shape[1])
+    _mix_high(counters, scratch)
+    return np.less_equal(counters, limits[:, None], out=heads)
 
 
-def _sample_term(width: int) -> np.ndarray:
-    """``GAMMA * (j + 1)`` for the coins ``j < width`` of a keyed row."""
-    return _MIX_GAMMA * (np.arange(width, dtype=np.uint64) + _ONE64)
+#: A layout's coin positions: ``Z`` for a prefix layout (the first
+#: ``Z`` bits of each row), else the sorted bit positions themselves.
+_Coins = Union[int, np.ndarray]
+
+
+def _sample_term(coins: _Coins) -> np.ndarray:
+    """``GAMMA * (j + 1)`` for the coin positions ``j`` of a keyed row."""
+    if isinstance(coins, int):
+        positions = np.arange(coins, dtype=np.uint64)
+    else:
+        positions = coins.astype(np.uint64)
+    return _MIX_GAMMA * (positions + _ONE64)
 
 
 def _keyed_coin_blocks(
     keys: np.ndarray,
     thresholds: np.ndarray,
-    sample_term: np.ndarray,
+    row_words: int,
+    coins: _Coins,
 ) -> np.ndarray:
-    """Packed ``(rows, len(sample_term) / 64)`` words of keyed rows.
+    """Packed ``(rows, row_words)`` words of keyed rows.
 
-    Runs :func:`_keyed_coin_bits` over blocks of about
+    Mixes coins only at the positions ``coins`` names; every other bit
+    is zero.  A prefix layout packs its ``Z`` heads straight into
+    words, and any other layout spreads the heads over the full width
+    first.  Runs :func:`_keyed_coin_bits` over blocks of about
     :data:`_COIN_BLOCK` coins so the mixer's temporaries stay in cache
     at any row width.
     """
+    sample_term = _sample_term(coins)
     num_rows = keys.shape[0]
     width = sample_term.shape[0]
     block = max(1, _COIN_BLOCK // max(width, 1))
@@ -182,15 +219,36 @@ def _keyed_coin_blocks(
     counters = np.empty(shape, dtype=np.uint64)
     scratch = np.empty(shape, dtype=np.uint64)
     heads = np.empty(shape, dtype=bool)
-    words = np.empty((num_rows, width // WORD_BITS), dtype=np.uint64)
+    spread = None if isinstance(coins, int) else np.zeros(
+        (shape[0], row_words * WORD_BITS), dtype=bool
+    )
+    limits = _coin_limits(thresholds)
+    words = np.empty((num_rows, row_words), dtype=np.uint64)
     for start in range(0, num_rows, block):
         stop = min(start + block, num_rows)
         size = stop - start
-        words[start:stop] = _keyed_coin_bits(
-            keys[start:stop], thresholds[start:stop], sample_term,
+        bits = _keyed_coin_bits(
+            keys[start:stop], limits[start:stop], sample_term,
             counters[:size], scratch[:size], heads[:size],
         )
+        if spread is not None:
+            spread[:size, coins] = bits
+            bits = spread[:size]
+        words[start:stop] = pack_bool_matrix(bits, bits.shape[1])
+    words[thresholds == 0] = 0
     return words
+
+
+def _coin_positions(valid: np.ndarray) -> _Coins:
+    """The coin positions of a ``(W,)`` valid mask: ``Z`` when it is
+    the prefix layout of ``Z`` samples, else its set bit positions."""
+    positions = world_index_of(valid)
+    count = int(positions.size)
+    if num_words(count) == valid.shape[0] and (
+        count == 0 or int(positions[-1]) == count - 1
+    ):
+        return count
+    return positions
 
 
 def keyed_coin_rows(
@@ -199,7 +257,7 @@ def keyed_coin_rows(
     edge_v: ArrayLike,
     edge_ordinal: ArrayLike,
     probs: ArrayLike,
-    valid: np.ndarray,
+    valid: Union[np.ndarray, int],
 ) -> np.ndarray:
     """Packed ``(rows, W)`` keyed coin rows for edge identities.
 
@@ -209,22 +267,25 @@ def keyed_coin_rows(
     kernel's winner rows and BFS-sharing overlay rows all call it;
     :func:`keyed_coin_words` draws single words of the same rows.
     Row ``r`` is a pure function of ``(base, edge_u[r], edge_v[r],
-    edge_ordinal[r], probs[r])`` and of ``valid``'s word layout: a coin
-    is drawn at every bit position of the ``W = len(valid)`` words and
-    the row is then ANDed with ``valid``.  So a prefix mask gives the
-    standard layout (pad bits zero), and a :func:`concat_batches` mask
-    with interior pad bits gets coins exactly on its valid positions.
+    edge_ordinal[r], probs[r])`` and of the word layout: coin ``j``
+    depends only on the key and ``j``, and is drawn exactly at the
+    valid bit positions ``j``, every other bit zero.  ``valid`` is a
+    batch's ``(W,)`` mask — a prefix mask gives the standard layout
+    (pad bits zero), and a :func:`concat_batches` mask with interior
+    pad bits gets coins exactly on its valid positions — or the ``Z``
+    of a prefix layout, which sampling and re-flips pass so that no
+    mask is read.
 
     Rows are generated in blocks of about :data:`_COIN_BLOCK` coins so
     the mixer's temporaries stay in cache at any ``Z``.
     """
+    if isinstance(valid, np.ndarray):
+        words, coins = valid.shape[0], _coin_positions(valid)
+    else:
+        coins = int(valid)
+        words = num_words(coins)
     keys = _edge_keys(base, edge_u, edge_v, edge_ordinal)
-    rows = _keyed_coin_blocks(
-        keys, _coin_thresholds(probs),
-        _sample_term(valid.shape[0] * WORD_BITS),
-    )
-    rows &= valid
-    return rows
+    return _keyed_coin_blocks(keys, _coin_thresholds(probs), words, coins)
 
 
 def keyed_coin_words(
@@ -242,20 +303,21 @@ def keyed_coin_words(
     Equals ``keyed_coin_rows(base, edge_u, edge_v, edge_ordinal, probs,
     valid)[rows, words]`` bit for bit, without drawing the rest of the
     rows: position ``i`` costs the 64 coins of word ``words[i]`` of the
-    row for identity ``rows[i]``, whatever ``W``.  Coin ``64 w + j`` of
-    a row mixes ``key + GAMMA * (64 w + j + 1)``, so advancing a
-    position's key by ``GAMMA * 64 w`` (mod 2^64) leaves the sample
-    term of coins ``0..63`` — the same :func:`_keyed_coin_bits` block
-    body as :func:`keyed_coin_rows`, one word per position.  The
-    selection kernel draws candidate coins this way only where a gain
-    mask is nonzero.
+    row for identity ``rows[i]``, whatever ``W``, and is then ANDed with
+    ``valid[words[i]]``.  Coin ``64 w + j`` of a row mixes
+    ``key + GAMMA * (64 w + j + 1)``, so advancing a position's key by
+    ``GAMMA * 64 w`` (mod 2^64) leaves the sample term of coins
+    ``0..63`` — the same :func:`_keyed_coin_bits` block body as
+    :func:`keyed_coin_rows`, one word per position.  The selection
+    kernel draws candidate coins this way only where a gain mask is
+    nonzero.
     """
     rows = np.asarray(rows, dtype=np.intp)
     words = np.asarray(words, dtype=np.intp)
     keys = _edge_keys(base, edge_u, edge_v, edge_ordinal)[rows]
     keys += _MIX_GAMMA * (words.astype(np.uint64) * np.uint64(WORD_BITS))
     drawn = _keyed_coin_blocks(
-        keys, _coin_thresholds(probs)[rows], _sample_term(WORD_BITS)
+        keys, _coin_thresholds(probs)[rows], 1, WORD_BITS
     )[:, 0]
     drawn &= valid[words]
     return drawn
@@ -514,7 +576,8 @@ def sample_worlds_keyed(
     # 24-bit coins (float32's random() grid): the 2^-24 threshold grid
     # bias is orders of magnitude below Monte Carlo noise.
     alive = keyed_coin_rows(
-        base, plan.edge_u, plan.edge_v, plan.edge_ordinal, plan.probs, valid
+        base, plan.edge_u, plan.edge_v, plan.edge_ordinal, plan.probs,
+        num_samples,
     )
     forced_true = list(forced_true)
     forced_false = list(forced_false)
@@ -541,9 +604,7 @@ def edge_coin_row(
     """
     if sanitize.enabled():
         sanitize.check_probabilities(p, "edge_coin_row: p")
-    return keyed_coin_rows(
-        base, [u], [v], [ordinal], [p], valid_sample_mask(num_samples)
-    )[0]
+    return keyed_coin_rows(base, [u], [v], [ordinal], [p], num_samples)[0]
 
 
 @dataclass

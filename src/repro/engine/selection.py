@@ -304,10 +304,9 @@ class SelectionGainKernel:
         where a gain mask is nonzero, and calls this for the winner's
         full row alone (see :meth:`_pair_counts`).
 
-        ``batch`` fixes the word layout the rows must match: coins cover
-        its full ``W * 64`` width and are ANDed with ``batch.valid``, so
-        prefix batches and the interior-pad layouts of factory batches
-        share one path.  Defaults to the kernel's shared batch; factory
+        ``batch`` fixes the word layout the rows must match: coins are
+        drawn at the set bits of ``batch.valid`` only, so prefix batches
+        and the interior-pad layouts of factory batches share one path.  Defaults to the kernel's shared batch; factory
         kernels have no shared batch — pass the query's (see
         :meth:`base_batch`).
         """

@@ -43,7 +43,7 @@ class _Rows:
     use, and kept for the rest of the call — never on the graph.
     """
 
-    __slots__ = ("graph", "extra", "reverse", "_overlay", "_built")
+    __slots__ = ("graph", "extra", "reverse", "_overlay", "_built", "_named")
 
     def __init__(
         self,
@@ -56,6 +56,16 @@ class _Rows:
         self.reverse = reverse and graph.directed
         self._overlay: Optional[Dict[int, Row]] = None
         self._built: Dict[int, Row] = {}
+        self._named: Optional[Set[int]] = None
+
+    def knows(self, node: int) -> bool:
+        """Whether the graph or the overlay names ``node``: a node only
+        the overlay names is a node like any other."""
+        if node in self.graph:
+            return True
+        if self._named is None:
+            self._named = {x for u, v, _ in self.extra for x in (u, v)}
+        return node in self._named
 
     def __call__(self, u: int) -> Row:
         row = self._built.get(u)
@@ -221,8 +231,7 @@ def _best_path(
     """:func:`most_reliable_path` over the rows of the current call."""
     if source == target:
         return [source], 1.0
-    graph = rows.graph
-    if source not in graph or (target not in graph and not rows.extra):
+    if not rows.knows(source) or not rows.knows(target):
         return None, 0.0
     dist, parent = _search(rows, source, target, banned_nodes, banned_edges, guide)
     if target not in parent:
@@ -238,23 +247,24 @@ def path_probability(graph: UncertainGraph, path: Sequence[int],
                      extra_probs: Optional[Dict[Tuple[int, int], float]] = None) -> float:
     """Product of edge probabilities along ``path``.
 
-    ``extra_probs`` supplies probabilities for edges that are not in the
-    graph (candidate edges); keys may be given in either orientation for
-    undirected graphs.
+    ``extra_probs`` supplies probabilities for edges on top of the
+    graph's (candidate edges); keys may be given in either orientation
+    for undirected graphs.  A hop that both name scores the larger
+    probability, which is the entry a most-reliable-path search relaxes.
     """
     prob = 1.0
     for u, v in zip(path, path[1:], strict=False):
-        if graph.has_edge(u, v):
-            prob *= graph.probability(u, v)
-        elif extra_probs is not None:
-            if (u, v) in extra_probs:
-                prob *= extra_probs[(u, v)]
-            elif not graph.directed and (v, u) in extra_probs:
-                prob *= extra_probs[(v, u)]
-            else:
-                raise KeyError(f"edge ({u}, {v}) on path but not in graph/extras")
-        else:
-            raise KeyError(f"edge ({u}, {v}) on path but not in graph")
+        best = graph.probability(u, v) if graph.has_edge(u, v) else None
+        if extra_probs is not None:
+            extra = extra_probs.get((u, v))
+            if extra is None and not graph.directed:
+                extra = extra_probs.get((v, u))
+            if extra is not None and (best is None or extra > best):
+                best = extra
+        if best is None:
+            where = "graph" if extra_probs is None else "graph/extras"
+            raise KeyError(f"edge ({u}, {v}) on path but not in {where}")
+        prob *= best
     return prob
 
 
@@ -292,8 +302,8 @@ def reliability_dijkstra_all(
     node — a deterministic proxy for reliability-to-target used by tests
     and by fast heuristics.
     """
-    if source not in graph:
-        return {}
     rows = _Rows.for_call(graph, extra_edges)
+    if not rows.knows(source):
+        return {}
     dist, _ = _search(rows.reversed() if reverse else rows, source)
     return {node: math.exp(-d) for node, d in dist.items()}

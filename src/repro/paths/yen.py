@@ -31,12 +31,15 @@ def _overlay_probs(
     graph: UncertainGraph,
     extra_edges: Overlay,
 ) -> Dict[Tuple[int, int], float]:
+    """The largest overlay probability of each hop (entries with
+    ``p <= 0``, which no search relaxes, left out)."""
     probs: Dict[Tuple[int, int], float] = {}
     if extra_edges:
         for u, v, p in extra_edges:
-            probs[(u, v)] = p
-            if not graph.directed:
-                probs[(v, u)] = p
+            hops = [(u, v)] if graph.directed else [(u, v), (v, u)]
+            for hop in hops:
+                if p > probs.get(hop, 0.0):
+                    probs[hop] = p
     return probs
 
 

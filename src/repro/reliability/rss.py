@@ -11,19 +11,38 @@ Monte Carlo when a stratum's sample budget drops below a threshold.
 The estimator keeps MC's ``O(Z (n + m))`` complexity but has a strictly
 smaller variance, so fewer samples reach the same index of dispersion —
 the effect Tables 6 and 7 measure.
+
+The recursion is structure discovery: regions, strata and allocations
+never read a leaf's value.  So both recursions only *record* their
+Monte Carlo leaves (:class:`_Leaf`), and the leaves are drawn after the
+recursion ends, in the order they were recorded, joined into one batch
+(:func:`~repro.engine.kernel.concat_batches`) and swept by one
+reachability fixpoint.  Worlds are column-independent, so a leaf's word
+columns of the joined fixpoint are its own sweep; each leaf reads its
+value off its own columns, and the values are combined with the
+products and sums of the recursion, in its order.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
-from ..engine import build_query_plan, sample_worlds, sample_worlds_stratified
-# Leaf calls go through the module so wrappers installed on its globals
+from ..engine import (
+    batch_reach,
+    build_query_plan,
+    concat_batches,
+    num_words,
+    popcount,
+    sample_worlds,
+    sample_worlds_stratified,
+)
+# Leaf draws go through the module so wrappers installed on its globals
 # (perfbench/spans.py) see the leaves' sampling.
 from ..engine import batch as engine_batch
+from ..engine.csr import QueryPlan
 from ..graph import UncertainGraph
 from .estimator import (
     Overlay,
@@ -33,6 +52,38 @@ from .estimator import (
 )
 
 EdgeKey = Tuple[int, int]
+
+
+class _Leaf:
+    """A Monte Carlo leaf of the stratification tree, recorded by the
+    recursion: ``num_samples`` worlds under the stratum's ``pins``.
+    An s-t leaf's ``value``, its hit rate, is filled in once the leaves
+    are drawn."""
+
+    __slots__ = ("pins", "num_samples", "value")
+
+    def __init__(self, pins: Dict[EdgeKey, bool], num_samples: int) -> None:
+        self.pins = pins
+        self.num_samples = num_samples
+        self.value = 0.0
+
+
+#: A node of the s-t estimate: a constant, a leaf, or the stratum
+#: terms ``(pi, estimate)`` summed from 0.0 in order.
+_Estimate = Union[float, _Leaf, List[Tuple[float, "_Estimate"]]]
+
+
+def _evaluate(estimate: _Estimate) -> float:
+    """The float the leaf-at-a-time recursion computed: the same
+    products and sums, in the same order."""
+    if isinstance(estimate, list):
+        total = 0.0
+        for pi, part in estimate:
+            total += pi * _evaluate(part)
+        return total
+    if isinstance(estimate, _Leaf):
+        return estimate.value
+    return estimate
 
 
 class _Adjacency:
@@ -83,8 +134,10 @@ class RecursiveStratifiedSampler(ReliabilityEstimator):
 
     Notes
     -----
-    Not thread-safe: beyond the generator, the estimator briefly stores
-    the active query's compiled plan while the recursion runs.
+    Not thread-safe: the estimator's generator is shared by its calls.
+    A call records its Monte Carlo leaves during the recursion, then
+    draws them in recursion order (so the generator advances exactly as
+    a leaf-at-a-time draw would) and sweeps them all with one fixpoint.
     """
 
     name = "rss"
@@ -107,7 +160,6 @@ class RecursiveStratifiedSampler(ReliabilityEstimator):
         self.max_depth = max_depth
         self.seed = seed
         self._rng = np.random.default_rng(seed)
-        self._active_plan = None
 
     # ------------------------------------------------------------------
     # batched selection backend (per-stratum shared worlds)
@@ -177,11 +229,17 @@ class RecursiveStratifiedSampler(ReliabilityEstimator):
         if plan.node_index(source) is None or plan.node_index(target) is None:
             return 0.0  # overlay endpoints count as nodes
         adj = _Adjacency(graph, extra)
-        self._active_plan = plan
-        try:
-            return self._estimate(adj, source, target, {}, self.num_samples, 0)
-        finally:
-            self._active_plan = None
+        leaves: List[_Leaf] = []
+        estimate = self._estimate(
+            adj, source, target, {}, self.num_samples, 0, leaves
+        )
+        if leaves:
+            hits = self._leaf_hits(
+                plan, leaves, source, plan.index_of[target]
+            )
+            for leaf, count in zip(leaves, hits[0].tolist(), strict=True):
+                leaf.value = count / leaf.num_samples
+        return _evaluate(estimate)
 
     def reachability_from(
         self,
@@ -214,16 +272,72 @@ class RecursiveStratifiedSampler(ReliabilityEstimator):
             return {}  # named by neither the graph nor the overlay
         adj = _Adjacency(graph, extra, reverse)
         # The view shares the plan's edge table, hence its coins.
-        self._active_plan = plan.reverse_view() if reverse else plan
-        counts: Dict[int, float] = {}
-        try:
-            self._estimate_vector(
-                adj, node, {}, self.num_samples, 0, 1.0, counts
-            )
-        finally:
-            self._active_plan = None
-        counts[node] = 1.0
-        return counts
+        if reverse:
+            plan = plan.reverse_view()
+        terms: List[Tuple[float, Union[_Leaf, Set[int]]]] = []
+        self._estimate_vector(adj, node, {}, self.num_samples, 0, 1.0, terms)
+        leaves = [part for _, part in terms if isinstance(part, _Leaf)]
+        columns = iter(self._leaf_hits(plan, leaves, node).T if leaves else ())
+        # Sum the terms in recursion order, every node at once: a leaf
+        # adds ``weight * (hits / Z_i)`` (0.0 where it never reached the
+        # node, which leaves the sum as it is), a certain region adds
+        # ``weight`` to its nodes.  Keys come in the order the nodes
+        # were first reached: by dense index within a leaf, in set order
+        # within a region.
+        total = np.zeros(plan.num_nodes)
+        seen = np.zeros(plan.num_nodes, dtype=bool)
+        order: List[int] = []
+        for weight, part in terms:
+            if isinstance(part, _Leaf):
+                column = next(columns)
+                reach = column > 0
+                order.extend(np.flatnonzero(reach & ~seen).tolist())
+                seen |= reach
+                total += weight * (column / part.num_samples)
+            else:
+                region = [plan.index_of[v] for v in part]
+                order.extend(i for i in region if not seen[i])
+                seen[region] = True
+                total[region] += weight
+        node_ids = plan.node_ids
+        out = dict(zip(
+            [node_ids[i] for i in order], total[order].tolist()
+        ))
+        out[node] = 1.0
+        return out
+
+    def _leaf_hits(
+        self,
+        plan: QueryPlan,
+        leaves: List[_Leaf],
+        node: int,
+        target_index: Optional[int] = None,
+    ) -> np.ndarray:
+        """Draw the recorded leaves in order and sweep them all at once.
+
+        Each leaf is one ``engine_batch.sample`` call, so every leaf
+        gets the coin base a leaf-at-a-time draw gave it and the
+        generator ends in the same state.  The joined batch keeps each
+        leaf on its own words; one fixpoint from ``node`` over it
+        (stopping early only once ``target_index`` holds every world)
+        equals each leaf's own sweep on its columns.  Returns each
+        leaf's count of worlds reaching each node, ``(n, leaves)``, or
+        only the target's row, ``(1, leaves)``.
+        """
+        batch = concat_batches([
+            engine_batch.sample(plan, leaf.num_samples, self._rng, leaf.pins)
+            for leaf in leaves
+        ])
+        reached = batch_reach(
+            plan, batch, [plan.index_of[node]], target_index=target_index
+        )
+        if target_index is not None:
+            reached = reached[target_index:target_index + 1]
+        widths = [num_words(leaf.num_samples) for leaf in leaves]
+        starts = np.cumsum([0] + widths[:-1])
+        return np.add.reduceat(
+            popcount(reached), starts, axis=1, dtype=np.int64
+        )
 
     # ------------------------------------------------------------------
     # scalar (s-t) recursion
@@ -236,7 +350,10 @@ class RecursiveStratifiedSampler(ReliabilityEstimator):
         forced: Dict[EdgeKey, bool],
         budget: int,
         depth: int,
-    ) -> float:
+        leaves: List[_Leaf],
+    ) -> _Estimate:
+        """The estimate's structure, with its Monte Carlo leaves
+        appended to ``leaves`` (see :func:`_evaluate`)."""
         certain = self._region(
             adj, source, forced, lambda p: p >= 1.0, stop=target
         )
@@ -247,29 +364,30 @@ class RecursiveStratifiedSampler(ReliabilityEstimator):
         ):
             return 0.0
         if depth >= self.max_depth or budget < self.mc_threshold:
-            return self._monte_carlo(source, target, forced, max(budget, 1))
+            return self._leaf(leaves, forced, max(budget, 1))
 
         strata_edges = self._select_strata_edges(adj, certain, forced)
         if not strata_edges:
             return 0.0  # no undetermined frontier: target unreachable
 
-        estimate = 0.0
+        terms: List[Tuple[float, _Estimate]] = []
         prefix_absent = 1.0
         forced_base = dict(forced)
         for _u, _v, p, key in strata_edges:
             pi = prefix_absent * p
             stratum_forced = dict(forced_base)
             stratum_forced[key] = True
-            estimate += pi * self._recurse(
-                adj, source, target, stratum_forced, pi, budget, depth
-            )
+            terms.append((pi, self._recurse(
+                adj, source, target, stratum_forced, pi, budget, depth, leaves
+            )))
             forced_base[key] = False
             prefix_absent *= 1.0 - p
         if prefix_absent > 0.0:
-            estimate += prefix_absent * self._recurse(
-                adj, source, target, forced_base, prefix_absent, budget, depth
-            )
-        return estimate
+            terms.append((prefix_absent, self._recurse(
+                adj, source, target, forced_base, prefix_absent, budget,
+                depth, leaves,
+            )))
+        return terms
 
     def _recurse(
         self,
@@ -280,14 +398,17 @@ class RecursiveStratifiedSampler(ReliabilityEstimator):
         pi: float,
         budget: int,
         depth: int,
-    ) -> float:
+        leaves: List[_Leaf],
+    ) -> _Estimate:
         allocated = int(round(budget * pi))
         if pi <= 1e-12:
             return 0.0
         allocated = max(allocated, 1)
         if allocated < self.mc_threshold:
-            return self._monte_carlo(source, target, forced, allocated)
-        return self._estimate(adj, source, target, forced, allocated, depth + 1)
+            return self._leaf(leaves, forced, allocated)
+        return self._estimate(
+            adj, source, target, forced, allocated, depth + 1, leaves
+        )
 
     # ------------------------------------------------------------------
     # vector (reachability-from) recursion
@@ -300,17 +421,18 @@ class RecursiveStratifiedSampler(ReliabilityEstimator):
         budget: int,
         depth: int,
         weight: float,
-        out: Dict[int, float],
+        terms: List[Tuple[float, Union[_Leaf, Set[int]]]],
     ) -> None:
-        """Accumulate ``weight * P(node reachable)`` into ``out``."""
-        certain = self._region(adj, source, forced, lambda p: p >= 1.0)
+        """Append the terms of ``weight * P(node reachable)`` to
+        ``terms``, in the order they are summed: a Monte Carlo leaf's
+        reach frequencies, or a certain region (frequency 1)."""
         if depth >= self.max_depth or budget < self.mc_threshold:
-            self._monte_carlo_vector(source, forced, max(budget, 1), weight, out)
+            terms.append((weight, _Leaf(forced, max(budget, 1))))
             return
+        certain = self._region(adj, source, forced, lambda p: p >= 1.0)
         strata_edges = self._select_strata_edges(adj, certain, forced)
         if not strata_edges:
-            for node in certain:
-                out[node] = out.get(node, 0.0) + weight
+            terms.append((weight, certain))
             return
         prefix_absent = 1.0
         forced_base = dict(forced)
@@ -321,26 +443,26 @@ class RecursiveStratifiedSampler(ReliabilityEstimator):
                 stratum_forced[key] = True
                 allocated = max(int(round(budget * pi)), 1)
                 if allocated < self.mc_threshold:
-                    self._monte_carlo_vector(
-                        source, stratum_forced, allocated, weight * pi, out
+                    terms.append(
+                        (weight * pi, _Leaf(stratum_forced, allocated))
                     )
                 else:
                     self._estimate_vector(
                         adj, source, stratum_forced, allocated,
-                        depth + 1, weight * pi, out,
+                        depth + 1, weight * pi, terms,
                     )
             forced_base[key] = False
             prefix_absent *= 1.0 - p
         if prefix_absent > 1e-12:
             allocated = max(int(round(budget * prefix_absent)), 1)
             if allocated < self.mc_threshold:
-                self._monte_carlo_vector(
-                    source, forced_base, allocated, weight * prefix_absent, out
+                terms.append(
+                    (weight * prefix_absent, _Leaf(forced_base, allocated))
                 )
             else:
                 self._estimate_vector(
                     adj, source, forced_base, allocated,
-                    depth + 1, weight * prefix_absent, out,
+                    depth + 1, weight * prefix_absent, terms,
                 )
 
     # ------------------------------------------------------------------
@@ -389,29 +511,11 @@ class RecursiveStratifiedSampler(ReliabilityEstimator):
         ranked = sorted(candidates.values(), key=lambda item: -item[2])
         return ranked[: self.num_stratify_edges]
 
-    def _monte_carlo(
-        self,
-        source: int,
-        target: int,
-        forced: Dict[EdgeKey, bool],
-        num_samples: int,
-    ) -> float:
-        """MC leaf: hit rate conditioned on the stratum's pins."""
-        plan = self._active_plan
-        batch = engine_batch.sample(plan, num_samples, self._rng, forced)
-        return engine_batch.pair_fraction(plan, batch, source, target)
-
-    def _monte_carlo_vector(
-        self,
-        source: int,
-        forced: Dict[EdgeKey, bool],
-        num_samples: int,
-        weight: float,
-        out: Dict[int, float],
-    ) -> None:
-        """MC leaf: accumulate ``weight`` times conditioned reach rates."""
-        plan = self._active_plan
-        batch = engine_batch.sample(plan, num_samples, self._rng, forced)
-        counts = engine_batch.reach_frequencies(plan, batch, [source])
-        for node, fraction in counts.items():
-            out[node] = out.get(node, 0.0) + weight * fraction
+    @staticmethod
+    def _leaf(
+        leaves: List[_Leaf], forced: Dict[EdgeKey, bool], num_samples: int
+    ) -> _Leaf:
+        """Record an s-t Monte Carlo leaf under the stratum's pins."""
+        leaf = _Leaf(forced, num_samples)
+        leaves.append(leaf)
+        return leaf

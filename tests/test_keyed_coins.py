@@ -60,18 +60,19 @@ def mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def reference_row(base, u, v, ordinal, p, num_samples):
-    """Keyed coin row built one coin at a time in Python integers."""
+def reference_row(base, u, v, ordinal, p, valid):
+    """Keyed coin row built one coin at a time in Python integers, with
+    the whole finalizer, at the valid bit positions of ``valid``."""
     key = int(base)
     for part in (u, v, ordinal):
         key = mix64((key + GAMMA * ((part & MASK64) + 1)) & MASK64)
     p32 = np.float32(p)
-    heads = [
-        np.float32(mix64((key + GAMMA * (j + 1)) & MASK64) >> 40)
-        * np.float32(2.0**-24) < p32
-        for j in range(num_samples)
-    ]
-    return coin_kernel.pack_bool_matrix(np.array([heads]), num_samples)[0]
+    heads = np.zeros(valid.shape[0] * 64, dtype=bool)
+    for j in np.flatnonzero(coin_kernel.unpack_word_row(valid)).tolist():
+        heads[j] = np.float32(
+            mix64((key + GAMMA * (j + 1)) & MASK64) >> 40
+        ) * np.float32(2.0**-24) < p32
+    return coin_kernel.pack_bool_matrix(heads[None], heads.shape[0])[0]
 
 
 def count(row) -> int:
@@ -166,29 +167,45 @@ def test_word_draw_is_the_row_draw(monkeypatch, layout, p, block):
 # ----------------------------------------------------------------------
 # the documented stream
 # ----------------------------------------------------------------------
-def test_keyed_rows_match_python_reference():
+@pytest.mark.parametrize("layout", [1, 19, 39, 64, 65, 130, "70+9"])
+def test_keyed_rows_match_python_reference(layout):
+    """Prefix layouts (one to three words, full and pad-carrying) and a
+    concatenated one with interior pad bits: every bit equals the
+    reference, so pad positions stay zero whether mixed or not."""
     base = coin_base(np.random.default_rng(5))
-    num_samples = 130  # three words, two pad-carrying
-    for identity, p in [
+    if layout == "70+9":
+        valid = _layouts()[1].valid
+    else:
+        valid = valid_sample_mask(layout)
+    identities = [
         ((3, 7, 0), 0.5),
         ((7, 3, 2), 0.1),       # float32 rounding of p matters
         ((0, 1, 0), 0.0),
         ((1, 0, 0), 1.0),
         ((-4, 2**40, 1), 0.8),  # negative and wide node ids
-    ]:
-        want = reference_row(base, *identity, p, num_samples)
-        assert np.array_equal(
-            edge_coin_row(base, *identity, p, num_samples), want
-        ), identity
+        ((5, 6, 0), 2.0**-24),  # the smallest threshold, t = 1
+        ((6, 5, 1), 1 - 2.0**-24),
+    ]
+    rows = keyed_coin_rows(
+        base, *(np.array([i[k] for i, _ in identities]) for k in range(3)),
+        [p for _, p in identities], valid,
+    )
+    for (identity, p), row in zip(identities, rows, strict=True):
+        want = reference_row(base, *identity, p, valid)
+        assert np.array_equal(row, want), identity
+        if layout != "70+9":
+            assert np.array_equal(
+                edge_coin_row(base, *identity, p, layout), want
+            ), identity
+    if layout == "70+9":
+        return
     graph = UncertainGraph.from_edges([(0, 1, 0.3), (1, 2, 0.9), (2, 0, 0.6)])
     plan = compile_plan(graph)
-    batch = sample_worlds_keyed(plan, num_samples, base)
+    batch = sample_worlds_keyed(plan, layout, base)
     for eid in range(plan.num_edges):
         identity = (int(plan.edge_u[eid]), int(plan.edge_v[eid]),
                     int(plan.edge_ordinal[eid]))
-        want = reference_row(
-            base, *identity, float(plan.probs[eid]), num_samples
-        )
+        want = reference_row(base, *identity, float(plan.probs[eid]), valid)
         assert np.array_equal(batch.alive[eid], want), identity
 
 

@@ -119,6 +119,54 @@ class TestReliabilityDijkstraAll:
 
 
 class TestTopLPaths:
+    def test_spur_search_from_an_overlay_only_node(self):
+        """Node 9 is named only by the overlay; the spur search from it
+        finds the third path, as it does once 9 is a graph node."""
+        g = UncertainGraph(directed=True)
+        g.add_edge(0, 1, 0.5)
+        g.add_edge(1, 3, 0.5)
+        overlay = [(0, 9, 0.9), (9, 3, 0.9), (9, 1, 0.9)]
+        got = top_l_most_reliable_paths(g, 0, 3, 5, overlay)
+        assert got == [
+            ([0, 9, 3], pytest.approx(0.81)),
+            ([0, 9, 1, 3], pytest.approx(0.405)),
+            ([0, 1, 3], pytest.approx(0.25)),
+        ]
+        g.add_node(9)
+        assert bits(top_l_most_reliable_paths(g, 0, 3, 5, overlay)) == bits(got)
+
+    def test_overlay_only_source_is_a_node(self):
+        g = UncertainGraph(directed=True)
+        g.add_edge(1, 3, 0.5)
+        overlay = [(9, 1, 0.8)]
+        assert most_reliable_path(g, 9, 3, overlay) == (
+            [9, 1, 3], pytest.approx(0.4)
+        )
+        assert reliability_dijkstra_all(g, 9, overlay) == {
+            9: 1.0, 1: pytest.approx(0.8), 3: pytest.approx(0.4)
+        }
+        assert reliability_dijkstra_all(g, 1, overlay, reverse=True) == {
+            1: 1.0, 9: pytest.approx(0.8)
+        }
+        assert reliability_dijkstra_all(g, 7, overlay) == {}
+
+    def test_hop_scores_the_entry_the_search_relaxed(self):
+        """The overlay repeats hop 0 -> 1 with a better p than the
+        graph's; the path through it scores 0.9 * 0.5, as the search
+        that found it did."""
+        g = UncertainGraph(directed=True)
+        for edge in [(0, 1, 0.5), (1, 2, 0.5), (0, 3, 0.9), (3, 2, 0.9)]:
+            g.add_edge(*edge)
+        overlay = [(0, 1, 0.9)]
+        got = top_l_most_reliable_paths(g, 0, 2, 3, overlay)
+        assert got == [
+            ([0, 3, 2], pytest.approx(0.81)), ([0, 1, 2], pytest.approx(0.45)),
+        ]
+        banned = most_reliable_path(g, 0, 2, overlay, forbidden_edges={(0, 3)})
+        assert banned == ([0, 1, 2], pytest.approx(got[1][1]))
+        assert path_probability(g, [0, 1, 2], {(0, 1): 0.9}) == pytest.approx(0.45)
+        assert path_probability(g, [0, 1, 2], {(0, 1): 0.1}) == pytest.approx(0.25)
+
     def test_equally_reliable_paths_come_most_reliable_first(self):
         """Both paths have reliability 0.0224, but the first is found by
         Dijkstra (exp of a -log sum) and the second through a product,
@@ -261,10 +309,17 @@ class TestConstrainedPaths:
 # ----------------------------------------------------------------------
 # Frozen reference: the unguided path layer as it stood before the
 # shared -log p rows and the reverse guide (one overlay build and one
-# plain Dijkstra per search).  Copied verbatim but for the names and for
+# plain Dijkstra per search).  Copied verbatim but for the names, for
 # Yen's candidate heap, which pops through ``heapq.heappop`` so that a
-# spy on this module's ``heappop`` counts Dijkstra pops only.
+# spy on this module's ``heappop`` counts Dijkstra pops only, and for
+# the two overlay fixes the live layer got later (marked "overlay
+# fix"): a node only the overlay names is a node, and a hop that the
+# graph and the overlay both name scores its larger probability.
 # ----------------------------------------------------------------------
+
+
+def _frozen_knows(graph, extra_edges, node):  # overlay fix
+    return node in graph or any(node in (u, v) for u, v, _ in extra_edges or ())
 
 
 def _frozen_build_overlay(graph, extra_edges):
@@ -278,20 +333,18 @@ def _frozen_build_overlay(graph, extra_edges):
     return overlay
 
 
-def _frozen_path_probability(graph, path, extra_probs=None):
+def _frozen_path_probability(graph, path, extra_probs):
     prob = 1.0
     for u, v in zip(path, path[1:], strict=False):
-        if graph.has_edge(u, v):
-            prob *= graph.probability(u, v)
-        elif extra_probs is not None:
-            if (u, v) in extra_probs:
-                prob *= extra_probs[(u, v)]
-            elif not graph.directed and (v, u) in extra_probs:
-                prob *= extra_probs[(v, u)]
-            else:
-                raise KeyError(f"edge ({u}, {v}) on path but not in graph/extras")
-        else:
-            raise KeyError(f"edge ({u}, {v}) on path but not in graph")
+        # overlay fix: the larger of the graph's and the overlay's p.
+        options = [graph.probability(u, v)] if graph.has_edge(u, v) else []
+        if (u, v) in extra_probs:
+            options.append(extra_probs[(u, v)])
+        elif not graph.directed and (v, u) in extra_probs:
+            options.append(extra_probs[(v, u)])
+        if not options:
+            raise KeyError(f"edge ({u}, {v}) on path but not in graph/extras")
+        prob *= max(options)
     return prob
 
 
@@ -299,7 +352,9 @@ def _frozen_most_reliable_path(graph, source, target, extra_edges=None,
                                forbidden_nodes=None, forbidden_edges=None):
     if source == target:
         return [source], 1.0
-    if source not in graph or (target not in graph and not extra_edges):
+    if not _frozen_knows(graph, extra_edges, source) or (
+        target not in graph and not extra_edges
+    ):
         return None, 0.0
     overlay = _frozen_build_overlay(graph, extra_edges)
     banned_nodes = forbidden_nodes or ()
@@ -339,7 +394,7 @@ def _frozen_most_reliable_path(graph, source, target, extra_edges=None,
 
 def _frozen_reliability_dijkstra_all(graph, source, extra_edges=None,
                                      reverse=False):
-    if source not in graph:
+    if not _frozen_knows(graph, extra_edges, source):
         return {}
     neighbor_fn = graph.successors
     if reverse and graph.directed:
@@ -374,9 +429,10 @@ def _frozen_top_l(graph, source, target, l, extra_edges=None):
     extra_probs = {}
     if extra:
         for u, v, p in extra:
-            extra_probs[(u, v)] = p
-            if not graph.directed:
-                extra_probs[(v, u)] = p
+            # overlay fix: keep each hop's largest p.
+            for hop in [(u, v)] if graph.directed else [(u, v), (v, u)]:
+                if p > extra_probs.get(hop, 0.0):
+                    extra_probs[hop] = p
     first_path, first_prob = _frozen_most_reliable_path(graph, source, target, extra)
     if first_path is None or first_prob <= 0.0:
         return []
